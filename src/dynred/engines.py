@@ -17,7 +17,7 @@ so the two layers can check each other.
 from __future__ import annotations
 
 import heapq
-import sys
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -171,7 +171,7 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
         if not isinstance(instance, Graph):
             raise DomainError(f"{kind.value} expects a Graph instance")
         _check_graph_shape(kind, instance)
-        if instance.node_count > limits.MAX_STATE_NODES:
+        if instance.node_count > limits.max_state_nodes():
             raise GuardError(f"{instance.node_count} nodes exceed the state cap")
         state.graph = instance.copy()
         state.counters.preprocess_units = instance.node_count + instance.edge_count
@@ -382,7 +382,7 @@ def engine_rollback(state: EngineState, cp: Checkpoint) -> None:
         entry = state._undo.pop()
         _undo_entry(state, entry)
         state.counters.rollback_ops += 1
-    dead = [s for s, d in state._live.items() if d >= depth]
+    dead = [s for s in state._live if s >= cp.serial]
     for s in dead:
         del state._live[s]
 
@@ -402,68 +402,69 @@ def _active_nodes(g: Graph) -> set[int] | None:
 
 
 def _bfs_from(g: Graph, src: int, allowed: set[int] | None = None) -> set[int]:
+    """Nodes reachable from src, moving only through allowed when given."""
     if allowed is not None and src not in allowed:
         return set()
+    adj, _ = g.adjacency()
     seen = {src}
-    frontier = [src]
+    frontier = {src}
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.out_neighbors(u):
-                if v in seen or (allowed is not None and v not in allowed):
-                    continue
-                seen.add(v)
-                nxt.append(v)
-        frontier = nxt
+        frontier = set().union(*map(adj.__getitem__, frontier))
+        frontier -= seen
+        if allowed is not None:
+            frontier &= allowed
+        seen |= frontier
     return seen
 
 
 def _tarjan_scc_sizes(g: Graph) -> list[int]:
-    """Sizes of strongly connected components, iterative Tarjan."""
-    n = g.node_count
+    """Sizes of strongly connected components, iterative Tarjan.
+
+    A node leaves the stack with its component; its index then becomes n,
+    which no low value reaches, so the `< low` test skips it without a
+    separate on-stack flag.
+    """
+    adj, _ = g.adjacency()
+    n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     sizes: list[int] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(g.out_neighbors(root)))]
         index[root] = low[root] = counter
         counter += 1
+        # frame: node, its neighbour iterator, its position on the stack
+        work = [(root, iter(adj[root]), len(stack))]
         stack.append(root)
-        on_stack[root] = True
         while work:
-            u, it = work[-1]
-            advanced = False
+            u, it, pos = work[-1]
+            lu = low[u]
             for v in it:
-                if index[v] == -1:
+                iv = index[v]
+                if iv == -1:
+                    low[u] = lu
                     index[v] = low[v] = counter
                     counter += 1
+                    work.append((v, iter(adj[v]), len(stack)))
                     stack.append(v)
-                    on_stack[v] = True
-                    work.append((v, iter(g.out_neighbors(v))))
-                    advanced = True
                     break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-            if low[u] == index[u]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    size += 1
-                    if w == u:
-                        break
-                sizes.append(size)
+                if iv < lu:
+                    lu = iv
+            else:
+                work.pop()
+                if lu == index[u]:
+                    sizes.append(len(stack) - pos)
+                    for w in stack[pos:]:
+                        index[w] = n
+                    del stack[pos:]
+                else:  # not a component root, so not the DFS root either
+                    low[u] = lu
+                    p = work[-1][0]
+                    if lu < low[p]:
+                        low[p] = lu
     return sizes
 
 
@@ -472,10 +473,12 @@ def _all_pairs_diameter(g: Graph) -> int | None:
     n = g.node_count
     if n == 0:
         return None
+    adj_sets, _ = g.adjacency()
     adj = np.zeros((n, n), dtype=np.float32)
-    for u in range(n):
-        for v in g.out_neighbors(u):
-            adj[u, v] = 1.0
+    rows = np.repeat(np.arange(n), [len(a) for a in adj_sets])
+    cols = np.fromiter(itertools.chain.from_iterable(adj_sets), dtype=np.intp,
+                       count=len(rows))
+    adj[rows, cols] = 1.0
     visited = np.eye(n, dtype=bool)
     frontier = np.eye(n, dtype=bool)
     diam = 0
@@ -492,6 +495,8 @@ def _all_pairs_diameter(g: Graph) -> int | None:
 
 
 def _dijkstra_st(g: Graph) -> int | None:
+    adj, weight = g.adjacency()
+    directed = g.directed
     dist = {g.s: 0}
     heap = [(0, g.s)]
     while heap:
@@ -500,8 +505,8 @@ def _dijkstra_st(g: Graph) -> int | None:
             continue
         if u == g.t:
             return d
-        for v in g.out_neighbors(u):
-            nd = d + g.weight(u, v)
+        for v in adj[u]:
+            nd = d + weight[(u, v) if directed or u < v else (v, u)]
             if v not in dist or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -511,26 +516,101 @@ def _dijkstra_st(g: Graph) -> int | None:
 def _bipartition(g: Graph) -> tuple[list[int], list[int]]:
     """Two-color by BFS, smallest id of each component on the left.
     Raises DomainError when an odd cycle exists."""
-    color = [-1] * g.node_count
+    adj, _ = g.adjacency()
+    seen: set[int] = set()
     left: list[int] = []
     right: list[int] = []
-    for root in range(g.node_count):
-        if color[root] != -1:
+    for root in range(len(adj)):
+        if root in seen:
             continue
-        color[root] = 0
-        queue = [root]
-        for u in queue:
-            for v in g.neighbors(u):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise DomainError("graph is not bipartite")
-        for u in queue:
-            (left if color[u] == 0 else right).append(u)
+        seen.add(root)
+        layer = {root}
+        side, other = left, right
+        while layer:
+            side.extend(layer)
+            reach = set().union(*map(adj.__getitem__, layer))
+            # BFS layers: an edge inside one layer closes an odd cycle
+            if not reach.isdisjoint(layer):
+                raise DomainError("graph is not bipartite")
+            layer = reach - seen
+            seen |= layer
+            side, other = other, side
     left.sort()
     right.sort()
     return left, right
+
+
+def _kaug_free_mates(g: Graph, k: int | None) -> list[int]:
+    """compute_kaug_free_matching as a list: mate[v] is v's partner or -1."""
+    if k is not None and (k < 1 or k % 2 == 0):
+        raise DomainError("k must be a positive odd integer")
+    left, _right = _bipartition(g)
+    adj, _ = g.adjacency()
+    n = len(adj)
+    mate = [-1] * n
+    # First phase: with nothing matched, every shortest augmenting path is a
+    # single edge, and extracting them reduces to a greedy scan in left order.
+    for u in left:
+        for v in adj[u]:
+            if mate[v] == -1:
+                mate[u] = v
+                mate[v] = u
+                break
+    while True:
+        # layered BFS over left vertices; dist counts matched-edge hops,
+        # -1 marks a vertex outside the layers (or a dead end, below)
+        dist = [-1] * n
+        queue = [u for u in left if mate[u] == -1]
+        for u in queue:
+            dist[u] = 0
+        found = -1  # layer of the first free right vertex reached
+        for u in queue:
+            du = dist[u]
+            if found != -1 and du >= found:
+                continue
+            for v in adj[u]:
+                w = mate[v]
+                if w == -1:
+                    if found == -1 or du + 1 < found:
+                        found = du + 1
+                elif dist[w] == -1:
+                    dist[w] = du + 1
+                    queue.append(w)
+        if found == -1:
+            break
+        length = 2 * found - 1  # edges on the augmenting path
+        if k is not None and length > k:
+            break
+        # Depth-first extraction of augmenting paths along the layers, with
+        # an explicit stack of (left vertex, its neighbour iterator). Each
+        # left vertex restarts its neighbour scan whenever it is entered.
+        for root in left:
+            if mate[root] != -1:
+                continue
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, it = stack[-1]
+                nd = dist[u] + 1
+                for v in it:
+                    w = mate[v]
+                    if w == -1:
+                        if nd == found:
+                            # flip the path: each left vertex on the stack
+                            # takes the right vertex the level below chose
+                            for x, _ in reversed(stack):
+                                nxt = mate[x]
+                                mate[x] = v
+                                mate[v] = x
+                                v = nxt
+                            stack.clear()
+                            break
+                    elif dist[w] == nd:
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    dist[u] = -1  # dead end for this phase
+                    stack.pop()
+    return mate
 
 
 def compute_kaug_free_matching(g: Graph, k: int | None = None) -> dict[int, int]:
@@ -541,60 +621,7 @@ def compute_kaug_free_matching(g: Graph, k: int | None = None) -> dict[int, int]
     BFS plus vertex-disjoint DFS extraction, so the number of phases is at
     most (k+3)/2 for odd k. Returns a node -> mate map (both directions).
     """
-    if k is not None and (k < 1 or k % 2 == 0):
-        raise DomainError("k must be a positive odd integer")
-    left, _right = _bipartition(g)
-    mate: dict[int, int] = {}
-    INF = float("inf")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * g.node_count + 100))
-    while True:
-        # layered BFS over left vertices; dist counts matched-edge hops
-        dist: dict[int, float] = {}
-        queue: list[int] = []
-        for u in left:
-            if u not in mate:
-                dist[u] = 0
-                queue.append(u)
-        found = INF
-        for u in queue:
-            du = dist[u]
-            if du >= found:
-                continue
-            for v in g.neighbors(u):
-                w = mate.get(v)
-                if w is None:
-                    found = min(found, du + 1)
-                elif w not in dist:
-                    dist[w] = du + 1
-                    queue.append(w)
-        if found == INF:
-            break
-        length = 2 * found - 1  # edges on the augmenting path
-        if k is not None and length > k:
-            break
-
-        def dfs(u: int) -> bool:
-            du = dist.get(u)
-            if du is None:
-                return False
-            for v in g.neighbors(u):
-                w = mate.get(v)
-                if w is None:
-                    if du + 1 == found:
-                        mate[v] = u
-                        mate[u] = v
-                        return True
-                elif dist.get(w) == du + 1 and dfs(w):
-                    mate[v] = u
-                    mate[u] = v
-                    return True
-            dist.pop(u, None)  # dead end for this phase
-            return False
-
-        for u in left:
-            if u not in mate:
-                dfs(u)
-    return mate
+    return {v: m for v, m in enumerate(_kaug_free_mates(g, k)) if m != -1}
 
 
 def _max_weight_pm(g: Graph) -> int | None:
@@ -606,20 +633,28 @@ def _max_weight_pm(g: Graph) -> int | None:
         return None
     if not left:
         return 0
-    r_index = {v: j for j, v in enumerate(right)}
-    top = max(w for _, _, w in g.weighted_edges()) if g.edge_count else 1
+    _, weight = g.adjacency()
+    m = len(weight)
+    ends = np.fromiter(itertools.chain.from_iterable(weight), dtype=np.intp,
+                       count=2 * m).reshape(m, 2)
+    w = np.fromiter(weight.values(), dtype=np.int64, count=m)
+    # pos[v]: v's row (left) or column (right) in the cost matrix
+    pos = np.empty(g.node_count, dtype=np.intp)
+    pos[left] = np.arange(len(left))
+    pos[right] = np.arange(len(right))
+    on_left = np.zeros(g.node_count, dtype=bool)
+    on_left[left] = True
+    a, b = ends[:, 0], ends[:, 1]
+    a_left = on_left[a]
+    top = int(w.max()) if m else 1
     forbidden = -(1 + g.node_count * top)
     cost = np.full((len(left), len(right)), forbidden, dtype=np.int64)
-    for i, u in enumerate(left):
-        for v in g.neighbors(u):
-            cost[i, r_index[v]] = g.weight(u, v)
+    cost[pos[np.where(a_left, a, b)], pos[np.where(a_left, b, a)]] = w
     rows, cols = linear_sum_assignment(cost, maximize=True)
-    total = 0
-    for i, j in zip(rows, cols):
-        if cost[i, j] == forbidden:
-            return None  # some left node forced onto a non-edge: no PM
-        total += int(cost[i, j])
-    return total
+    chosen = cost[rows, cols].tolist()
+    if forbidden in chosen:
+        return None  # some left node forced onto a non-edge: no PM
+    return sum(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +703,9 @@ def engine_query(state: EngineState, q):
         start = min(nodes)
         return _bfs_from(g, start, nodes) == nodes
     if kind is ProblemKind.BPMATCH:
-        mate = compute_kaug_free_matching(g)
-        return len(mate) == g.node_count
+        return -1 not in _kaug_free_mates(g, None)
     if kind is ProblemKind.KBPM:
-        mate = compute_kaug_free_matching(g, q.k)
-        return len(mate) // 2
+        return (g.node_count - _kaug_free_mates(g, q.k).count(-1)) // 2
     if kind is ProblemKind.BWMATCH:
         return _max_weight_pm(g)
     if kind is ProblemKind.ST_SP:

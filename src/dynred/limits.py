@@ -7,6 +7,8 @@ cap honours an environment override so larger experiments stay possible.
 
 import os
 
+from .model import DomainError
+
 # exhaustive assignment enumeration: 2^n iterations
 ORACLE_SAT_MAX_VARS = 24
 
@@ -23,4 +25,20 @@ TRIPARTITE_MAX_SIDE = 512
 MAX_SETS = 500_000
 
 # built gadget graphs: node budget, overridable for bigger runs
-MAX_STATE_NODES = int(os.environ.get("REDUX_MAX_STATE_NODES", 5_000_000))
+MAX_STATE_NODES = 5_000_000
+
+
+def max_state_nodes() -> int:
+    """The node budget: REDUX_MAX_STATE_NODES when set, else MAX_STATE_NODES.
+
+    Read at each use, so a malformed value fails the engine construction
+    that needs it with a DomainError, not the import of the package.
+    """
+    raw = os.environ.get("REDUX_MAX_STATE_NODES")
+    if raw is None:
+        return MAX_STATE_NODES
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(
+            f"REDUX_MAX_STATE_NODES must be an integer, got {raw!r}") from None

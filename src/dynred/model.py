@@ -139,7 +139,7 @@ class Graph:
     def add_edge(self, u: int, v: int, w: int | None = None) -> None:
         self._check_ids(u, v)
         key = edge_key(u, v, self.directed)
-        if key in self._w or (not self.weighted and self.has_edge(u, v)):
+        if key in self._w:
             raise StateError(f"duplicate edge ({u},{v})")
         if self.weighted:
             if w is None:
@@ -187,6 +187,18 @@ class Graph:
         return self._adj[u]
 
     neighbors = out_neighbors
+
+    def adjacency(self) -> tuple[list[set[int]], dict[tuple[int, int], int]]:
+        """The graph's own adjacency list and edge -> weight map, for
+        read-only use by query code that visits every edge.
+
+        adj[u] is the set out_neighbors(u) returns (every neighbour when
+        undirected), so it is iterated in the same order. The map is keyed by
+        edge_key(u, v, directed) and holds each edge's weight, or 0 on an
+        unweighted graph. Neither is a copy: callers must not mutate them or
+        hold them across a mutation of the graph.
+        """
+        return self._adj, self._w
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._w.keys())

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dynred
 from dynred import oracles
 from dynred.engines import (
     Checkpoint,
@@ -25,6 +30,7 @@ from dynred.model import (
     Diameter,
     DomainError,
     Graph,
+    GuardError,
     HasPerfectMatching,
     InducedConnected,
     InsertEdge,
@@ -73,6 +79,29 @@ def test_engine_new_copies_instance():
     st = engine_new(ProblemKind.ST_REACH, Mode.FULL, g)
     g.add_edge(1, 2)
     assert not engine_query(st, StReachable())
+
+
+def test_state_node_cap_env_override(monkeypatch):
+    g = build(4, [(0, 1)], directed=True, s=0, t=3)
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "3")
+    with pytest.raises(GuardError):
+        engine_new(ProblemKind.ST_REACH, "full", g)
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "4")
+    engine_new(ProblemKind.ST_REACH, "full", g)
+
+
+def test_malformed_state_node_cap_fails_construction_not_import(monkeypatch):
+    src = str(Path(dynred.__file__).resolve().parents[1])
+    env = dict(os.environ, REDUX_MAX_STATE_NODES="abc",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import dynred.engines"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "abc")
+    g = build(2, [(0, 1)], directed=True, s=0, t=1)
+    with pytest.raises(DomainError, match="REDUX_MAX_STATE_NODES"):
+        engine_new(ProblemKind.ST_REACH, "full", g)
 
 
 def test_engine_new_shape_checks():
@@ -209,6 +238,24 @@ def test_rollback_to_outer_consumes_inner():
     with pytest.raises(StateError):
         engine_rollback(st, inner)
     assert st.counters.rollback_ops == 2
+
+
+def test_rollback_keeps_earlier_checkpoint_at_equal_depth():
+    g = build(3, [(0, 1), (1, 2)], directed=True, s=0, t=2)
+    st = engine_new(ProblemKind.ST_REACH, "dec", g)
+    before = st.graph.digest()
+    a = engine_checkpoint(st)
+    b = engine_checkpoint(st)  # same depth as a, taken after it
+    engine_update(st, DeleteEdge(0, 1))
+    engine_rollback(st, b)
+    with pytest.raises(StateError):
+        engine_rollback(st, b)
+    engine_update(st, DeleteEdge(1, 2))
+    engine_rollback(st, a)
+    assert st.graph.digest() == before
+    assert st.counters.rollback_ops == 2
+    with pytest.raises(StateError):
+        engine_rollback(st, a)
 
 
 def test_foreign_checkpoint_rejected():
