@@ -3,8 +3,9 @@ randomized verification suites. Every run prints a single JSON document on
 stdout and reports its seed, so any result can be replayed exactly.
 
 Exit codes: 0 success, 1 bad input (unreadable file, parse or domain error),
-2 answer/oracle mismatch under --oracle-check, 64 usage error (unknown
-reduction name, bad flags).
+2 answer/oracle mismatch under --oracle-check, 3 internal error (a fault of
+the program, not of the input; the traceback goes to stderr), 64 usage
+error (unknown reduction name, bad flags).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -23,7 +25,6 @@ from .minweight_reductions import (
     min_weight_triangle_via_stsp,
 )
 from .model import (
-    ConstructionError,
     CostCounters,
     DomainError,
     GuardError,
@@ -67,12 +68,10 @@ from .triangle_reductions import (
     triangle_via_streach_decremental,
     triangle_via_subconn,
 )
-from .verify import _min_triangle_vertex, run_suite
+from .verify import SUITE_NAMES, _min_triangle_vertex, run_suite
 from .wrappers import subunion_via_connsub
 
-_INPUT_ERRORS = (ParseError, DomainError, GuardError, StateError,
-                 ConstructionError, ModeError, ValueError,
-                 ZeroDivisionError)
+_INPUT_ERRORS = (ParseError, DomainError, GuardError, StateError, ModeError)
 
 _ALL_MODES = ("full", "inc", "dec")
 
@@ -91,7 +90,7 @@ def _sat_entry(fn, modes=_ALL_MODES, **fixed):
     def run(f, mode, ctx):
         kw = dict(fixed)
         if ctx["delta"] is not None:
-            kw["delta"] = Fraction(ctx["delta"])
+            kw["delta"] = ctx["delta"]
         return fn(f, mode=mode, **kw)
 
     return _Entry("cnf", modes, "full", run, lambda f, ctx: oracle_sat(f))
@@ -150,11 +149,10 @@ def _mwt_entry(runner):
 
 
 def _resolve_pair_cap(inst, ctx):
-    raw = ctx["delta"]
-    if raw is None:
+    q = ctx["delta"]
+    if q is None:
         cap = inst.delta
     else:
-        q = Fraction(raw)
         if q.denominator != 1 or q < 0:
             raise DomainError("pair cap must be a nonnegative integer")
         cap = int(q)
@@ -281,13 +279,20 @@ def _build_parser() -> _Parser:
 
     verp = sub.add_parser("verify", help="run randomized property suites")
     verp.add_argument("--suite", default="all",
-                      choices=("all",) + tuple(sorted(
-                          ("seth", "triangle", "apsp", "threesum",
-                           "engines"))))
+                      choices=("all",) + tuple(sorted(SUITE_NAMES)))
     verp.add_argument("--trials", type=int, default=25)
     verp.add_argument("--seed", type=int, default=0)
     verp.add_argument("--max-n", type=int, default=12, dest="max_n")
     return parser
+
+
+def _parse_delta(text: str | None) -> Fraction | None:
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"--delta {text!r} is not a fraction") from exc
 
 
 def _cmd_run(args) -> int:
@@ -302,8 +307,8 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"dynred: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
-    ctx = {"delta": args.delta, "seed": args.seed}
     try:
+        ctx = {"delta": _parse_delta(args.delta), "seed": args.seed}
         instance = _LOADERS[entry.loader](text)
         start = time.perf_counter()
         answer, counters = entry.run(instance, mode, ctx)
@@ -346,9 +351,15 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_verify(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        return _cmd_verify(args)
+    except Exception:
+        traceback.print_exc()
+        print("dynred: internal error (a program fault, not bad input)",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -662,11 +662,17 @@ def _max_weight_pm(g: Graph) -> int | None:
 
 
 def engine_query(state: EngineState, q):
+    """Answer q; a query that raises is not counted."""
     expected = QUERY_FOR_KIND[state.kind]
     if not isinstance(q, expected):
         raise DomainError(
             f"{state.kind.value} answers {expected.__name__}, got {type(q).__name__}")
+    answer = _answer(state, q)
     state.counters.queries += 1
+    return answer
+
+
+def _answer(state: EngineState, q):
     g = state.graph
     kind = state.kind
 
@@ -766,3 +772,49 @@ class DirectEngine:
 
 def direct_factory(kind, mode, instance, *, scope=None) -> DirectEngine:
     return DirectEngine(kind, mode, instance, scope=scope)
+
+
+# ---------------------------------------------------------------------------
+# staged reductions
+
+# The update that undoes each paired update type. Weights are not carried:
+# the inverse of a deletion is an unweighted insertion.
+_INVERSE = {
+    InsertEdge: lambda op: DeleteEdge(op.u, op.v),
+    DeleteEdge: lambda op: InsertEdge(op.u, op.v),
+    ActivateNode: lambda op: DeactivateNode(op.v),
+    DeactivateNode: lambda op: ActivateNode(op.v),
+    AddToScope: lambda op: RemoveFromScope(op.set_id),
+    RemoveFromScope: lambda op: AddToScope(op.set_id),
+}
+
+
+def inverse(op):
+    """The update that undoes op on an unweighted instance."""
+    undo = _INVERSE.get(type(op))
+    if undo is None:
+        raise DomainError(f"{type(op).__name__} has no inverse update")
+    return undo(op)
+
+
+def run_stage(handle, ops, query, interpret=bool, *, rollback: bool,
+              keep_hit: bool = False) -> bool:
+    """One stage of a staged reduction: install ops, ask query, restore.
+
+    Returns interpret(answer). The state is restored by rolling back to a
+    checkpoint taken before the ops when rollback is true, and otherwise by
+    applying inverse(op) for each op in install order (the KBPM answer
+    depends on the history of the adjacency sets, so the order is fixed).
+    With keep_hit, a stage whose interpreted answer is true stays installed.
+    """
+    cp = handle.checkpoint() if rollback else None
+    for op in ops:
+        handle.update(op)
+    hit = interpret(handle.query(query))
+    if not (keep_hit and hit):
+        if rollback:
+            handle.rollback(cp)
+        else:
+            for op in ops:
+                handle.update(inverse(op))
+    return hit

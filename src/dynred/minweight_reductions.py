@@ -13,7 +13,7 @@ Decremental runs walk the stages in ascending order and delete each stage's
 anchors once queried; incremental runs walk them in reverse and insert.
 """
 
-from .engines import Mode, ProblemKind, direct_factory
+from .engines import Mode, ProblemKind, _as_mode, direct_factory
 from .model import (
     CostCounters,
     DeleteEdge,
@@ -68,7 +68,7 @@ def min_weight_triangle_via_stsp(
     record_stages, when given, receives (stage, z) for every stage; z is the
     defect of that stage's distance and is meaningful only when <= 3M.
     """
-    mode = Mode(mode) if not isinstance(mode, Mode) else mode
+    mode = _as_mode(mode)
     if mode is Mode.FULL:
         raise DomainError("stage schedule needs an incremental or decremental engine")
     if g.directed or not g.weighted:

@@ -526,10 +526,6 @@ class RemoveFromScope:
     set_id: int
 
 
-UpdateOp = (InsertEdge | DeleteEdge | ActivateNode | DeactivateNode
-            | InsertSet | IntersectSets | AddToScope | RemoveFromScope)
-
-
 @dataclass(frozen=True)
 class StConnected:
     """s and t connected in the subgraph induced by the active set plus {s,t}."""
@@ -617,13 +613,6 @@ class Member:
 @dataclass(frozen=True)
 class IsEmpty:
     i: int
-
-
-QueryOp = (StConnected | StReachable | ReachCountLessThan | StronglyConnected
-           | MoreThanTwoSccs | SccCount2VsK | MaxSccSize | InducedConnected
-           | UnionIsUniverse | HasPerfectMatching | KAugFreeMatchingSize
-           | MaxWeightPmWeight | StDistance | AllStReachable | Diameter
-           | Member | IsEmpty)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def oracle_sat(formula: CnfFormula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# triangles and 3SUM
+# triangles
 
 
 def oracle_triangle(g: Graph) -> Triangle | None:
@@ -95,18 +95,6 @@ def oracle_min_weight_triangle(g: Graph) -> WeightedTriangle | None:
                 if best is None or (cand.weight, cand[:3]) < (best.weight, best[:3]):
                     best = cand
     return best
-
-
-def oracle_threesum(values: list[int]) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with a + b = c over distinct elements of `values`, a <= b."""
-    s = set(values)
-    out = []
-    vals = sorted(s)
-    for i, a in enumerate(vals):
-        for b in vals[i:]:
-            if a + b in s:
-                out.append((a, b, a + b))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +285,6 @@ def induced_connected(g: Graph) -> bool:
                 seen.add(v)
                 stack.append(v)
     return seen == nodes
-
-
-@dataclass
-class GraphMetrics:
-    st_reachable: bool | None
-    st_connected: bool | None
-    reach_count: int | None
-    all_st_reachable: bool | None
-    scc_count: int | None
-    max_scc_size: int | None
-    diameter: int | None
-    st_distance: int | None
-    induced_connected: bool | None
-
-
-def oracle_graph_metrics(g: Graph) -> GraphMetrics:
-    """Bundle of every metric whose prerequisites the graph satisfies; rest are None."""
-    has_st = g.s is not None and g.t is not None
-    return GraphMetrics(
-        st_reachable=st_reachable(g) if has_st else None,
-        st_connected=st_connected(g) if has_st and not g.directed else None,
-        reach_count=reach_count(g, g.s) if g.s is not None else None,
-        all_st_reachable=(all_st_reachable(g)
-                          if g.s_set is not None and g.t_set is not None else None),
-        scc_count=scc_count(g) if g.directed else None,
-        max_scc_size=max_scc_size(g) if g.directed else None,
-        diameter=diameter(g) if not g.directed else None,
-        st_distance=st_distance(g) if has_st else None,
-        induced_connected=induced_connected(g) if g.active is not None and not g.directed else None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .engines import Mode, ProblemKind, direct_factory
+from .engines import Mode, ProblemKind, direct_factory, run_stage
 from .limits import TRIPARTITE_MAX_SIDE
 from .model import (
     ActivateNode,
@@ -148,6 +148,8 @@ def load_instance(text: str) -> TripartiteInstance:
         side, n_c, r = (int(x) for x in lines[0].split()[1:])
     except ValueError as exc:
         raise DomainError(f"bad header: {lines[0]!r}") from exc
+    if n_c < 1 or r < 1:
+        raise DomainError(f"bad header: {lines[0]!r} needs n_c and r >= 1")
     buckets: dict[str, set] = {"ab": set(), "ac": set(), "bc": set()}
     for ln in lines[1:]:
         fields = ln.split()
@@ -166,30 +168,26 @@ def load_instance(text: str) -> TripartiteInstance:
     return inst
 
 
+def _c_neighbors(inst: TripartiteInstance) -> tuple[dict, dict]:
+    """The A -> C and B -> C neighbor sets; vertices without one are absent."""
+    maps: tuple[dict, dict] = ({}, {})
+    for nbrs, pairs in zip(maps, (inst.e_ac, inst.e_bc)):
+        for u, c in pairs:
+            nbrs.setdefault(u, set()).add(c)
+    return maps
+
+
 def brute_force_pairs(inst: TripartiteInstance) -> list[tuple[int, int]]:
     """All (a, b) in E_AB sharing a C-neighbor; the listing reference answer."""
-    ac: dict[int, set] = {}
-    for a, c in inst.e_ac:
-        ac.setdefault(a, set()).add(c)
-    bc: dict[int, set] = {}
-    for b, c in inst.e_bc:
-        bc.setdefault(b, set()).add(c)
+    ac, bc = _c_neighbors(inst)
     return sorted((a, b) for a, b in inst.e_ab
                   if ac.get(a, set()) & bc.get(b, set()))
 
 
 def brute_force_triangles(inst: TripartiteInstance) -> list[tuple[int, int, int]]:
-    ac: dict[int, set] = {}
-    for a, c in inst.e_ac:
-        ac.setdefault(a, set()).add(c)
-    bc: dict[int, set] = {}
-    for b, c in inst.e_bc:
-        bc.setdefault(b, set()).add(c)
-    out = []
-    for a, b in inst.e_ab:
-        for c in sorted(ac.get(a, set()) & bc.get(b, set())):
-            out.append((a, b, c))
-    return sorted(out)
+    ac, bc = _c_neighbors(inst)
+    return sorted((a, b, c) for a, b in inst.e_ab
+                  for c in ac.get(a, set()) & bc.get(b, set()))
 
 
 def _b_adjacency(inst: TripartiteInstance) -> dict[int, list[int]]:
@@ -201,34 +199,15 @@ def _b_adjacency(inst: TripartiteInstance) -> dict[int, list[int]]:
     return adj
 
 
-class SubconnProbe:
-    """Block probe over a fully dynamic subgraph-connectivity engine.
+class _BlockProbe:
+    """Block bookkeeping shared by the probes: a probe (a, i, j) asks whether
+    a closes a triangle with some B-neighbor in block j of level i."""
 
-    The engine's graph keeps C and the terminals always active while every
-    A/B copy starts inactive; a probe activates one a-copy plus its
-    B-neighbors inside the block, queries, and rolls the activations back.
-    """
-
-    def __init__(self, inst: TripartiteInstance, factory=direct_factory):
+    def __init__(self, inst: TripartiteInstance):
         inst.validate()
         self.inst = inst
-        side, n_c = inst.side, inst.n_c
-        self.levels = _ceil_log2(side)
+        self.levels = _ceil_log2(inst.side)
         self._b_adj = _b_adjacency(inst)
-        s, t = 2 * side + n_c, 2 * side + n_c + 1
-        h = Graph(2 * side + n_c + 2, s=s, t=t,
-                  active=set(range(2 * side, 2 * side + n_c)) | {s, t})
-        for a, c in inst.e_ac:
-            h.add_edge(a, 2 * side + c)
-        for b, c in inst.e_bc:
-            h.add_edge(side + b, 2 * side + c)
-        for a in range(side):
-            h.add_edge(s, a)
-        for b in range(side):
-            h.add_edge(side + b, t)
-        if h.edge_count != len(inst.e_ac) + len(inst.e_bc) + 2 * side:
-            raise ConstructionError("edge budget violated")
-        self.eng = factory(ProblemKind.ST_SUBCONN, Mode.FULL, h)
 
     @property
     def counters(self) -> CostCounters:
@@ -245,27 +224,46 @@ class SubconnProbe:
         lst = self._b_adj.get(a, [])
         return lst[bisect_left(lst, lo):bisect_left(lst, lo + size)]
 
+
+class SubconnProbe(_BlockProbe):
+    """Block probe over a fully dynamic subgraph-connectivity engine.
+
+    The engine's graph keeps C and the terminals always active while every
+    A/B copy starts inactive; a probe activates one a-copy plus its
+    B-neighbors inside the block, queries, and rolls the activations back.
+    """
+
+    def __init__(self, inst: TripartiteInstance, factory=direct_factory):
+        super().__init__(inst)
+        side, n_c = inst.side, inst.n_c
+        s, t = 2 * side + n_c, 2 * side + n_c + 1
+        h = Graph(2 * side + n_c + 2, s=s, t=t,
+                  active=set(range(2 * side, 2 * side + n_c)) | {s, t})
+        for a, c in inst.e_ac:
+            h.add_edge(a, 2 * side + c)
+        for b, c in inst.e_bc:
+            h.add_edge(side + b, 2 * side + c)
+        for a in range(side):
+            h.add_edge(s, a)
+        for b in range(side):
+            h.add_edge(side + b, t)
+        if h.edge_count != len(inst.e_ac) + len(inst.e_bc) + 2 * side:
+            raise ConstructionError("edge budget violated")
+        self.eng = factory(ProblemKind.ST_SUBCONN, Mode.FULL, h)
+
     def probe(self, a: int, i: int, j: int) -> bool:
+        """Does a close a triangle with some B-neighbor in block (i, j)?
+
+        With no such neighbor the probe costs one query and no updates."""
         members = self.block_members(a, i, j)
         side = self.inst.side
-        if not members:
-            return self.eng.query(StConnected())
-        cp = self.eng.checkpoint()
-        self.eng.update(ActivateNode(a))
-        for b in members:
-            self.eng.update(ActivateNode(side + b))
-        answer = self.eng.query(StConnected())
-        self.eng.rollback(cp)
-        return answer
+        ops = ([ActivateNode(a)] + [ActivateNode(side + b) for b in members]
+               if members else [])
+        return run_stage(self.eng, ops, StConnected(), rollback=True)
 
 
 def build_subconn_probe(inst: TripartiteInstance, factory=direct_factory) -> SubconnProbe:
     return SubconnProbe(inst, factory)
-
-
-def triangle_probe(probe, a: int, i: int, j: int) -> bool:
-    """Does a close a triangle with some B-neighbor in block (i, j)?"""
-    return probe.probe(a, i, j)
 
 
 def list_pairs(inst: TripartiteInstance, probe, delta: int | None = None):
@@ -285,7 +283,7 @@ def list_pairs(inst: TripartiteInstance, probe, delta: int | None = None):
 
     def search(a: int, i: int, j: int) -> None:
         nonlocal overflow
-        if not triangle_probe(probe, a, i, j):
+        if not probe.probe(a, i, j):
             return
         if i == levels:
             pairs.append((a, j - 1))
@@ -307,22 +305,13 @@ def list_pairs(inst: TripartiteInstance, probe, delta: int | None = None):
 
 
 def pairs_to_triangles(inst: TripartiteInstance, pairs) -> list[tuple[int, int, int]]:
-    """Expand listed pairs to full triangles by scanning their C-neighborhoods."""
-    ac: dict[int, set] = {}
-    for a, c in inst.e_ac:
-        ac.setdefault(a, set()).add(c)
-    bc: dict[int, set] = {}
-    for b, c in inst.e_bc:
-        bc.setdefault(b, set()).add(c)
-    out = []
-    for a, b in pairs:
-        for c in sorted(ac.get(a, set()) | bc.get(b, set())):
-            if c in ac.get(a, set()) and c in bc.get(b, set()):
-                out.append((a, b, c))
-    return sorted(set(out))
+    """Expand listed pairs to full triangles by intersecting their C-neighborhoods."""
+    ac, bc = _c_neighbors(inst)
+    return sorted({(a, b, c) for a, b in pairs
+                   for c in ac.get(a, set()) & bc.get(b, set())})
 
 
-class DecrementalTraceAdapter:
+class DecrementalTraceAdapter(_BlockProbe):
     """Probe answered by a decremental reachability engine.
 
     Two routing trees stand in for activation: an out-tree below s over the
@@ -332,11 +321,8 @@ class DecrementalTraceAdapter:
     """
 
     def __init__(self, inst: TripartiteInstance, streach_factory=direct_factory):
-        inst.validate()
-        self.inst = inst
+        super().__init__(inst)
         side, n_c = inst.side, inst.n_c
-        self.levels = _ceil_log2(side)
-        self._b_adj = _b_adjacency(inst)
         leaves = max(2, 1 << self.levels)
         self._tree_leaves = leaves
         base = 2 * side + n_c
@@ -365,19 +351,15 @@ class DecrementalTraceAdapter:
         return heap_index >= self._tree_leaves and (
             heap_index - self._tree_leaves >= self.inst.side)
 
-    @property
-    def counters(self) -> CostCounters:
-        return self.eng.counters
-
-    def _prune(self, nodes, kept_leaves, toward_root: bool) -> int:
-        """Delete the boundary edges that cut every leaf outside kept_leaves."""
+    def _prune(self, nodes, kept_leaves, toward_root: bool) -> list[DeleteEdge]:
+        """The boundary edge deletions that cut every leaf outside kept_leaves."""
         leaves = self._tree_leaves
         kept = [False] * (2 * leaves)
         for x in kept_leaves:
             kept[leaves + x] = True
         for hh in range(leaves - 1, 0, -1):
             kept[hh] = kept[2 * hh] or kept[2 * hh + 1]
-        deletions = 0
+        deletions = []
         for hh in range(1, leaves):
             if not kept[hh] and hh != 1:
                 continue
@@ -387,33 +369,22 @@ class DecrementalTraceAdapter:
                 if kept[hh] or hh == 1:
                     u, v = ((nodes[child], nodes[hh]) if toward_root
                             else (nodes[hh], nodes[child]))
-                    self.eng.update(DeleteEdge(u, v))
-                    deletions += 1
+                    deletions.append(DeleteEdge(u, v))
         return deletions
 
     def probe(self, a: int, i: int, j: int) -> bool:
-        if not 0 <= a < self.inst.side:
-            raise DomainError(f"a {a} out of range")
-        if not 0 <= i <= self.levels or not 1 <= j <= 1 << i:
-            raise DomainError(f"block ({i},{j}) out of range")
-        size = (1 << self.levels) >> i
-        lo = (j - 1) * size
-        lst = self._b_adj.get(a, [])
-        members = lst[bisect_left(lst, lo):bisect_left(lst, lo + size)]
-        log = max(1, self.levels)
-        cp = self.eng.checkpoint()
+        members = self.block_members(a, i, j)
         if members:
-            deletions = self._prune(self._layout.s_nodes, {a}, toward_root=False)
-            deletions += self._prune(self._layout.t_nodes, set(members), toward_root=True)
+            ops = (self._prune(self._layout.s_nodes, {a}, toward_root=False)
+                   + self._prune(self._layout.t_nodes, set(members), toward_root=True))
         else:
             # no candidate partner: cutting s from its tree already forces no
-            deletions = self._prune(self._layout.s_nodes, set(), toward_root=False)
-        answer = self.eng.query(StReachable())
-        self.eng.rollback(cp)
-        if deletions > 2 * len(members) * log + 2 * log:
+            ops = self._prune(self._layout.s_nodes, set(), toward_root=False)
+        log = max(1, self.levels)
+        if len(ops) > 2 * len(members) * log + 2 * log:
             raise ConstructionError(
-                f"probe deleted {deletions} edges for {len(members)} members")
-        return answer
+                f"probe deleted {len(ops)} edges for {len(members)} members")
+        return run_stage(self.eng, ops, StReachable(), rollback=True)
 
 
 def decremental_trace_adapter(inst: TripartiteInstance,

@@ -15,18 +15,17 @@ return on the first positive stage and otherwise run all 2^(n - |U|) stages.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .engines import Mode, ProblemKind, direct_factory
+from .engines import Mode, ProblemKind, _as_mode, direct_factory, inverse, run_stage
 from .model import (
     AddToScope,
     AllStReachable,
     CnfFormula,
     ConstructionError,
-    CostCounters,
-    DeleteEdge,
     Diameter,
     DomainError,
     Graph,
@@ -37,7 +36,6 @@ from .model import (
     MaxSccSize,
     MoreThanTwoSccs,
     ReachCountLessThan,
-    RemoveFromScope,
     SccCount2VsK,
     SetSystem,
     UnionIsUniverse,
@@ -161,41 +159,52 @@ def _engine_digest(handle):
     return (st.sets.digest(), scope)
 
 
-class _StageLoop:
-    """Runs the install/query/restore cycle for one reduction.
+def _scan(handle, t: FailTable, mode: Mode, check_isolation: bool, stage):
+    """Run stages r = 0, 1, ... until one completes; return (answer, counters).
 
-    In full mode the installer's updates are undone by explicit inverse
-    updates; otherwise a checkpoint is taken and rolled back. With
-    check_isolation the engine state digest is compared after every stage.
+    stage(r) gives stage r's (ops, query, interpret). Full mode restores each
+    stage by inverse updates, the other modes by rollback; a completing stage
+    is restored too. With check_isolation the engine state digest must be
+    back at its start value after every stage.
+    """
+    base = _engine_digest(handle) if check_isolation else None
+    for r in range(1 << t.stage_bits):
+        hit = run_stage(handle, *stage(r), rollback=mode is not Mode.FULL)
+        if check_isolation and _engine_digest(handle) != base:
+            raise ConstructionError("stage was not isolated: state digest drifted")
+        if hit:
+            return True, handle.counters
+    return False, handle.counters
+
+
+class _Toggle:
+    """Builds stage ops that leave exactly a chosen set of items switched on.
+
+    make(i) gives the insert-type ops that switch item i (0 <= i < count)
+    on. A decremental engine starts with every item on (see start_on) and a
+    stage deletes the complement of the chosen set; the other modes start
+    with every item off and a stage inserts the chosen set. Items go in
+    ascending order. The ops are built once, not once per stage.
     """
 
-    def __init__(self, handle, mode: Mode, check_isolation: bool):
-        self.handle = handle
-        self.mode = mode
-        self.check = check_isolation
-        self._base = _engine_digest(handle) if check_isolation else None
+    def __init__(self, mode: Mode, count: int, make):
+        self._dec = mode is Mode.DECREMENTAL
+        self._on = [tuple(make(i)) for i in range(count)]
+        self._ops = ([tuple(map(inverse, ops)) for ops in self._on]
+                     if self._dec else self._on)
 
-    def run_stage(self, install_ops, uninstall_ops, query, interpret) -> bool:
-        h = self.handle
-        if self.mode is Mode.FULL:
-            for op in install_ops:
-                h.update(op)
-            sat_here = interpret(h.query(query))
-            for op in uninstall_ops:
-                h.update(op)
-        else:
-            cp = h.checkpoint()
-            for op in install_ops:
-                h.update(op)
-            sat_here = interpret(h.query(query))
-            h.rollback(cp)
-        if self.check and _engine_digest(h) != self._base:
-            raise ConstructionError("stage was not isolated: state digest drifted")
-        return sat_here
+    def start_on(self, g: Graph) -> None:
+        """In decremental mode, add every item's arcs to the host graph g."""
+        if self._dec:
+            for ops in self._on:
+                for op in ops:
+                    g.add_edge(op.u, op.v)
 
-
-def _as_mode(mode) -> Mode:
-    return mode if isinstance(mode, Mode) else Mode(mode)
+    def __call__(self, chosen) -> list:
+        if self._dec:
+            return [op for i, ops in enumerate(self._ops) if i not in chosen
+                    for op in ops]
+        return [op for i, ops in enumerate(self._ops) if i in chosen for op in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +228,16 @@ def sat_via_ssr(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     for j in range(c_count):
         for phi in sorted(t.fail[0][j]):
             g.add_edge(a_count + j, phi)
-    if mode is Mode.DECREMENTAL:
-        for j in range(c_count):
-            g.add_edge(src, a_count + j)
+
+    arcs = _Toggle(mode, c_count, lambda j: (InsertEdge(src, a_count + j),))
+    arcs.start_on(g)
     handle = factory(ProblemKind.REACH_COUNT, mode, g)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = t.unsat_indices(r)
-        if mode is Mode.DECREMENTAL:
-            unsat_set = set(unsat)
-            ops = [DeleteEdge(src, a_count + j) for j in range(c_count)
-                   if j not in unsat_set]
-            undo: list = []
-        else:
-            ops = [InsertEdge(src, a_count + j) for j in unsat]
-            undo = [DeleteEdge(src, a_count + j) for j in unsat]
-        query = ReachCountLessThan(a_count + len(unsat))
-        if loop.run_stage(ops, undo, query, lambda ans: ans):
-            answer = True
-            break
-    return answer, handle.counters
+
+    def stage(r):
+        unsat = set(t.unsat_indices(r))
+        return arcs(unsat), ReachCountLessThan(a_count + len(unsat)), bool
+
+    return _scan(handle, t, mode, check_isolation, stage)
 
 
 def _kept_clauses(t: FailTable) -> list[int]:
@@ -249,59 +247,76 @@ def _kept_clauses(t: FailTable) -> list[int]:
     return [j for j, f in enumerate(t.fail[0]) if f]
 
 
+def _cycle_host(t: FailTable, kept: list[int], clones: int, collectors: int):
+    """Host graph of the SCC-shaped routines; returns (g, clause_base, s).
+
+    Node layout: `clones` copies of the assignment nodes (copy c of phi at
+    c * assign_count + phi), one clause node per kept clause from
+    clause_base, then the collector s and, with two collectors, s2 = s + 1.
+    Every assignment copy points at s; every clause node points at each copy
+    of the assignments failing its clause.
+    """
+    a_count = t.assign_count
+    clause_base = clones * a_count
+    s = clause_base + len(kept)
+    g = Graph(s + collectors, directed=True)
+    for copy in range(clones):
+        for phi in range(a_count):
+            g.add_edge(copy * a_count + phi, s)
+    for pos, j in enumerate(kept):
+        for phi in sorted(t.fail[0][j]):
+            for copy in range(clones):
+                g.add_edge(clause_base + pos, copy * a_count + phi)
+    return g, clause_base, s
+
+
+def _unsat_positions(t: FailTable, kept: list[int], r: int) -> set[int]:
+    return {pos for pos, j in enumerate(kept) if not t.stage_satisfies(j, r)}
+
+
+def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
+             delta, mode, factory, check_isolation):
+    """Satisfiability via an SCC count gap, every assignment node cloned
+    `clones` times.
+
+    Per stage, s points at the unsatisfied clauses (closing cycles through
+    their failing assignments) while a second collector s2 pairs up with the
+    satisfied clauses. An assignment failing no unsatisfied clause survives
+    as `clones` singleton SCCs; otherwise everything collapses into two.
+    """
+    mode = _as_mode(mode)
+    t = build_fail_table(formula, delta)
+    kept = _kept_clauses(t)
+    g, clause_base, s = _cycle_host(t, kept, clones, 2)
+    s2 = s + 1
+    cycles = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
+    pairs = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s2, clause_base + pos),
+                                                  InsertEdge(clause_base + pos, s2)))
+    cycles.start_on(g)
+    pairs.start_on(g)
+    handle = factory(kind, mode, g)
+
+    def stage(r):
+        unsat = _unsat_positions(t, kept, r)
+        sat = set(range(len(kept))) - unsat
+        return cycles(unsat) + pairs(sat), query, bool
+
+    return _scan(handle, t, mode, check_isolation, stage)
+
+
 def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
                 factory=direct_factory, check_isolation=False):
     """Satisfiability via the two-or-more SCC gap.
 
     Permanent arcs: every assignment node points at a collector s, every
     clause node at its failing assignments. Per stage, s points at the
-    unsatisfied clauses (closing cycles through their failing assignments)
-    while a second collector s2 pairs up with the satisfied clauses. An
-    assignment failing no unsatisfied clause survives as its own singleton
-    SCC, so the stage is completable iff there are more than two SCCs.
+    unsatisfied clauses while a second collector s2 pairs up with the
+    satisfied ones. An assignment failing no unsatisfied clause survives as
+    its own singleton SCC, so the stage is completable iff there are more
+    than two SCCs.
     """
-    mode = _as_mode(mode)
-    t = build_fail_table(formula, delta)
-    kept = _kept_clauses(t)
-    a_count, k = t.assign_count, len(kept)
-    s, s2 = a_count + k, a_count + k + 1
-    g = Graph(a_count + k + 2, directed=True)
-    for phi in range(a_count):
-        g.add_edge(phi, s)
-    for pos, j in enumerate(kept):
-        for phi in sorted(t.fail[0][j]):
-            g.add_edge(a_count + pos, phi)
-    if mode is Mode.DECREMENTAL:
-        for pos in range(k):
-            c = a_count + pos
-            g.add_edge(s, c)
-            g.add_edge(s2, c)
-            g.add_edge(c, s2)
-    handle = factory(ProblemKind.SC2, mode, g)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = {j for j in kept if not t.stage_satisfies(j, r)}
-        ops: list = []
-        undo: list = []
-        for pos, j in enumerate(kept):
-            c = a_count + pos
-            if j in unsat:
-                if mode is Mode.DECREMENTAL:
-                    ops += [DeleteEdge(s2, c), DeleteEdge(c, s2)]
-                else:
-                    ops.append(InsertEdge(s, c))
-                    undo.append(DeleteEdge(s, c))
-            else:
-                if mode is Mode.DECREMENTAL:
-                    ops.append(DeleteEdge(s, c))
-                else:
-                    ops += [InsertEdge(s2, c), InsertEdge(c, s2)]
-                    undo += [DeleteEdge(s2, c), DeleteEdge(c, s2)]
-        if loop.run_stage(ops, undo, MoreThanTwoSccs(), lambda ans: ans):
-            answer = True
-            break
-    return answer, handle.counters
+    return _scc_gap(formula, 1, ProblemKind.SC2, MoreThanTwoSccs(), delta=delta,
+                    mode=mode, factory=factory, check_isolation=check_isolation)
 
 
 def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
@@ -316,38 +331,17 @@ def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     mode = _as_mode(mode)
     t = build_fail_table(formula, delta)
     kept = _kept_clauses(t)
-    a_count, k = t.assign_count, len(kept)
-    s = a_count + k
-    g = Graph(a_count + k + 1, directed=True)
-    for phi in range(a_count):
-        g.add_edge(phi, s)
-    for pos, j in enumerate(kept):
-        for phi in sorted(t.fail[0][j]):
-            g.add_edge(a_count + pos, phi)
-    if mode is Mode.DECREMENTAL:
-        for pos in range(k):
-            g.add_edge(s, a_count + pos)
+    g, clause_base, s = _cycle_host(t, kept, 1, 1)
+    cycles = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
+    cycles.start_on(g)
     handle = factory(ProblemKind.MAX_SCC, mode, g)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = [j for j in kept if not t.stage_satisfies(j, r)]
-        unsat_set = set(unsat)
-        if mode is Mode.DECREMENTAL:
-            ops = [DeleteEdge(s, a_count + pos) for pos, j in enumerate(kept)
-                   if j not in unsat_set]
-            undo: list = []
-        else:
-            ops = [InsertEdge(s, a_count + pos) for pos, j in enumerate(kept)
-                   if j in unsat_set]
-            undo = [DeleteEdge(s, a_count + pos) for pos, j in enumerate(kept)
-                    if j in unsat_set]
-        d = len(unsat)
-        if loop.run_stage(ops, undo, MaxSccSize(),
-                          lambda size, d=d: size <= d + a_count):
-            answer = True
-            break
-    return answer, handle.counters
+
+    def stage(r):
+        unsat = _unsat_positions(t, kept, r)
+        cap = len(unsat) + t.assign_count
+        return cycles(unsat), MaxSccSize(), lambda size: size <= cap
+
+    return _scan(handle, t, mode, check_isolation, stage)
 
 
 def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
@@ -361,56 +355,37 @@ def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
     """
     if k < 2:
         raise DomainError("clone count k must be at least 2")
-    mode = _as_mode(mode)
-    t = build_fail_table(formula, delta)
-    kept = _kept_clauses(t)
-    a_count, kc = t.assign_count, len(kept)
-    clause_base = k * a_count
-    s, s2 = clause_base + kc, clause_base + kc + 1
-    g = Graph(clause_base + kc + 2, directed=True)
-    for copy in range(k):
-        for phi in range(a_count):
-            g.add_edge(copy * a_count + phi, s)
-    for pos, j in enumerate(kept):
-        c = clause_base + pos
-        for phi in sorted(t.fail[0][j]):
-            for copy in range(k):
-                g.add_edge(c, copy * a_count + phi)
-    if mode is Mode.DECREMENTAL:
-        for pos in range(kc):
-            c = clause_base + pos
-            g.add_edge(s, c)
-            g.add_edge(s2, c)
-            g.add_edge(c, s2)
-    handle = factory(ProblemKind.SCC_2_VS_K, mode, g)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = {j for j in kept if not t.stage_satisfies(j, r)}
-        ops: list = []
-        undo: list = []
-        for pos, j in enumerate(kept):
-            c = clause_base + pos
-            if j in unsat:
-                if mode is Mode.DECREMENTAL:
-                    ops += [DeleteEdge(s2, c), DeleteEdge(c, s2)]
-                else:
-                    ops.append(InsertEdge(s, c))
-                    undo.append(DeleteEdge(s, c))
-            else:
-                if mode is Mode.DECREMENTAL:
-                    ops.append(DeleteEdge(s, c))
-                else:
-                    ops += [InsertEdge(s2, c), InsertEdge(c, s2)]
-                    undo += [DeleteEdge(s2, c), DeleteEdge(c, s2)]
-        if loop.run_stage(ops, undo, SccCount2VsK(k), lambda ans: ans):
-            answer = True
-            break
-    return answer, handle.counters
+    return _scc_gap(formula, k, ProblemKind.SCC_2_VS_K, SccCount2VsK(k),
+                    delta=delta, mode=mode, factory=factory,
+                    check_isolation=check_isolation)
 
 
 # ---------------------------------------------------------------------------
 # two-block reductions
+
+
+def _two_block_host(t: FailTable, mode: Mode, extra: int = 0, **graph_kw):
+    """Host graph of the two-block routines; returns (g, bridges).
+
+    Node layout, with a = assign_count and c clauses: left assignments
+    [0, a), clause nodes [a, a + c), mirrored clause nodes [a + c, a + 2c),
+    right assignments [a + 2c, 2a + 2c), then `extra` nodes for the caller.
+    Left assignments link to the clauses they fail and mirrored clauses to
+    the right assignments failing them. Bridge j links clause j to its
+    mirror; `bridges` is their _Toggle, and a decremental run starts with
+    every bridge in place.
+    """
+    a_count, c_count = t.assign_count, len(t.fail[0])
+    left_c, right_c, right_a = a_count, a_count + c_count, a_count + 2 * c_count
+    g = Graph(2 * a_count + 2 * c_count + extra, **graph_kw)
+    for j in range(c_count):
+        for phi in sorted(t.fail[0][j]):
+            g.add_edge(phi, left_c + j)
+        for psi in sorted(t.fail[1][j]):
+            g.add_edge(right_c + j, right_a + psi)
+    bridges = _Toggle(mode, c_count, lambda j: (InsertEdge(left_c + j, right_c + j),))
+    bridges.start_on(g)
+    return g, bridges
 
 
 def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
@@ -426,37 +401,13 @@ def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
     mode = _as_mode(mode)
     t = build_fail_table(formula, delta, blocks=2)
     a_count, c_count = t.assign_count, len(formula.clauses)
-    left_c = a_count
-    right_c = a_count + c_count
     right_a = a_count + 2 * c_count
-    g = Graph(2 * a_count + 2 * c_count, directed=True,
-              s_set=frozenset(range(a_count)),
-              t_set=frozenset(range(right_a, right_a + a_count)))
-    for j in range(c_count):
-        for phi in sorted(t.fail[0][j]):
-            g.add_edge(phi, left_c + j)
-        for psi in sorted(t.fail[1][j]):
-            g.add_edge(right_c + j, right_a + psi)
-    if mode is Mode.DECREMENTAL:
-        for j in range(c_count):
-            g.add_edge(left_c + j, right_c + j)
+    g, bridges = _two_block_host(
+        t, mode, directed=True, s_set=frozenset(range(a_count)),
+        t_set=frozenset(range(right_a, right_a + a_count)))
     handle = factory(ProblemKind.ST_SET_REACH, mode, g)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = t.unsat_indices(r)
-        if mode is Mode.DECREMENTAL:
-            unsat_set = set(unsat)
-            ops = [DeleteEdge(left_c + j, right_c + j) for j in range(c_count)
-                   if j not in unsat_set]
-            undo: list = []
-        else:
-            ops = [InsertEdge(left_c + j, right_c + j) for j in unsat]
-            undo = [DeleteEdge(left_c + j, right_c + j) for j in unsat]
-        if loop.run_stage(ops, undo, AllStReachable(), lambda blocked: not blocked):
-            answer = True
-            break
-    return answer, handle.counters
+    return _scan(handle, t, mode, check_isolation, lambda r: (
+        bridges(set(t.unsat_indices(r))), AllStReachable(), operator.not_))
 
 
 def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
@@ -472,28 +423,18 @@ def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
     mode = _as_mode(mode)
     t = build_fail_table(formula, delta, blocks=2)
     a_count, c_count = t.assign_count, len(formula.clauses)
-    left_c = a_count
-    right_c = a_count + c_count
+    g, bridges = _two_block_host(t, mode, 3)
     right_a = a_count + 2 * c_count
     s = right_a + a_count
-    s2 = s + 1
-    hub = s + 2
-    g = Graph(2 * a_count + 2 * c_count + 3)
+    s2, hub = s + 1, s + 2
     for j in range(c_count):
-        for phi in sorted(t.fail[0][j]):
-            g.add_edge(phi, left_c + j)
-        for psi in sorted(t.fail[1][j]):
-            g.add_edge(right_c + j, right_a + psi)
-        g.add_edge(hub, left_c + j)
-        g.add_edge(hub, right_c + j)
+        g.add_edge(hub, a_count + j)
+        g.add_edge(hub, a_count + c_count + j)
     for phi in range(a_count):
         g.add_edge(s, phi)
         g.add_edge(s2, right_a + phi)
     g.add_edge(hub, s)
     g.add_edge(hub, s2)
-    if mode is Mode.DECREMENTAL:
-        for j in range(c_count):
-            g.add_edge(left_c + j, right_c + j)
     handle = factory(ProblemKind.DIAMETER, mode, g)
 
     # fast path: a block assignment failing no clause at all completes every
@@ -503,28 +444,13 @@ def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
     if len(all_left) < a_count or len(all_right) < a_count:
         return True, handle.counters
 
-    loop = _StageLoop(handle, mode, check_isolation)
-
     def interpret(d):
         if d not in (3, 4):
             raise ConstructionError(f"diameter {d} outside the promised gap")
         return d == 4
 
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = t.unsat_indices(r)
-        if mode is Mode.DECREMENTAL:
-            unsat_set = set(unsat)
-            ops = [DeleteEdge(left_c + j, right_c + j) for j in range(c_count)
-                   if j not in unsat_set]
-            undo: list = []
-        else:
-            ops = [InsertEdge(left_c + j, right_c + j) for j in unsat]
-            undo = [DeleteEdge(left_c + j, right_c + j) for j in unsat]
-        if loop.run_stage(ops, undo, Diameter(), interpret):
-            answer = True
-            break
-    return answer, handle.counters
+    return _scan(handle, t, mode, check_isolation, lambda r: (
+        bridges(set(t.unsat_indices(r))), Diameter(), interpret))
 
 
 # ---------------------------------------------------------------------------
@@ -545,21 +471,9 @@ def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     ss = SetSystem(t.assign_count, [sorted(f) for f in t.fail[0]])
     scope = set(range(c_count)) if mode is Mode.DECREMENTAL else None
     handle = factory(ProblemKind.SUB_UNION, mode, ss, scope=scope)
-    loop = _StageLoop(handle, mode, check_isolation)
-    answer = False
-    for r in range(1 << t.stage_bits):
-        unsat = t.unsat_indices(r)
-        if mode is Mode.DECREMENTAL:
-            unsat_set = set(unsat)
-            ops = [RemoveFromScope(j) for j in range(c_count) if j not in unsat_set]
-            undo: list = []
-        else:
-            ops = [AddToScope(j) for j in unsat]
-            undo = [RemoveFromScope(j) for j in unsat]
-        if loop.run_stage(ops, undo, UnionIsUniverse(), lambda covered: not covered):
-            answer = True
-            break
-    return answer, handle.counters
+    scoped = _Toggle(mode, c_count, lambda j: (AddToScope(j),))
+    return _scan(handle, t, mode, check_isolation, lambda r: (
+        scoped(set(t.unsat_indices(r))), UnionIsUniverse(), operator.not_))
 
 
 def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engines import Mode, ProblemKind, direct_factory
+from .engines import Mode, ProblemKind, _as_mode, direct_factory, run_stage
 from .model import (
     ActivateNode,
     ConstructionError,
@@ -66,31 +66,19 @@ def _require_undirected(g: Graph) -> None:
         raise DomainError("triangle reductions take undirected graphs")
 
 
-def _as_mode(mode) -> Mode:
-    return mode if isinstance(mode, Mode) else Mode(mode)
+def _first_anchor(handle, mode: Mode, n: int, stage):
+    """Run anchor stages x = 0, 1, ..., n - 1; return (first hit or None, counters).
 
-
-def _anchor_stage(handle, mode, install, uninstall, query, interpret) -> bool:
-    """One stage: install, query, and restore only when the stage missed.
-
-    A hit returns immediately with the gadget left specialized, so the
-    caller's early return reports honest counters for the partial run.
+    stage(x) gives stage x's (ops, query[, interpret]). A missed stage is
+    restored (inverse updates in full mode, rollback otherwise); a hit
+    returns at once with the gadget left specialized, so the counters are
+    honest for the partial run.
     """
-    if mode is Mode.FULL:
-        for op in install:
-            handle.update(op)
-        hit = interpret(handle.query(query))
-        if not hit:
-            for op in uninstall:
-                handle.update(op)
-        return hit
-    cp = handle.checkpoint()
-    for op in install:
-        handle.update(op)
-    hit = interpret(handle.query(query))
-    if not hit:
-        handle.rollback(cp)
-    return hit
+    for x in range(n):
+        if run_stage(handle, *stage(x), rollback=mode is not Mode.FULL,
+                     keep_hit=True):
+            return x, handle.counters
+    return None, handle.counters
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +114,8 @@ def triangle_via_streach(g: Graph, *, mode="full", factory=direct_factory):
     h = build_streach_gadget(g)
     handle = factory(ProblemKind.ST_REACH, mode, h)
     s, t = 4 * n, 4 * n + 1
-    for x in range(n):
-        install = [InsertEdge(s, x), InsertEdge(3 * n + x, t)]
-        uninstall = [DeleteEdge(s, x), DeleteEdge(3 * n + x, t)]
-        if _anchor_stage(handle, mode, install, uninstall, StReachable(), bool):
-            return x, handle.counters
-    return None, handle.counters
+    return _first_anchor(handle, mode, n, lambda x: (
+        [InsertEdge(s, x), InsertEdge(3 * n + x, t)], StReachable()))
 
 
 @dataclass(frozen=True)
@@ -269,21 +253,18 @@ def triangle_via_subconn(g: Graph, *, mode="full", factory=direct_factory):
     n = g.node_count
     h = build_subconn_gadget(g, start_active=(mode is Mode.DECREMENTAL))
     handle = factory(ProblemKind.ST_SUBCONN, mode, h)
-    for x in range(n):
-        nbrs = sorted(g.out_neighbors(x))
+
+    def stage(x):
+        nbr_set = g.out_neighbors(x)
         if mode is Mode.DECREMENTAL:
-            nbr_set = g.out_neighbors(x)
-            install = [op for v in range(n) if v not in nbr_set
-                       for op in (DeactivateNode(v), DeactivateNode(n + v))]
-            uninstall: list = []
+            ops = [op for v in range(n) if v not in nbr_set
+                   for op in (DeactivateNode(v), DeactivateNode(n + v))]
         else:
-            install = [op for v in nbrs
-                       for op in (ActivateNode(v), ActivateNode(n + v))]
-            uninstall = [op for v in nbrs
-                         for op in (DeactivateNode(v), DeactivateNode(n + v))]
-        if _anchor_stage(handle, mode, install, uninstall, StConnected(), bool):
-            return x, handle.counters
-    return None, handle.counters
+            ops = [op for v in sorted(nbr_set)
+                   for op in (ActivateNode(v), ActivateNode(n + v))]
+        return ops, StConnected()
+
+    return _first_anchor(handle, mode, n, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +304,19 @@ def triangle_via_5bpm(g: Graph, *, mode="full", factory=direct_factory):
     n = g.node_count
     h = build_5bpm_gadget(g, pair_edges=(mode is not Mode.INCREMENTAL))
     handle = factory(ProblemKind.KBPM, mode, h)
-    for x in range(n):
+
+    def stage(x):
         nbr_set = g.out_neighbors(x)
         threshold = 2 * (n - len(nbr_set))
         if mode is Mode.INCREMENTAL:
-            install = [op for v in range(n) if v not in nbr_set
-                       for op in (InsertEdge(n + v, v), InsertEdge(3 * n + v, 2 * n + v))]
-            uninstall: list = []
+            ops = [op for v in range(n) if v not in nbr_set
+                   for op in (InsertEdge(n + v, v), InsertEdge(3 * n + v, 2 * n + v))]
         else:
-            nbrs = sorted(nbr_set)
-            install = [op for v in nbrs
-                       for op in (DeleteEdge(n + v, v), DeleteEdge(3 * n + v, 2 * n + v))]
-            uninstall = [op for v in nbrs
-                         for op in (InsertEdge(n + v, v), InsertEdge(3 * n + v, 2 * n + v))]
-        if _anchor_stage(handle, mode, install, uninstall, KAugFreeMatchingSize(5),
-                         lambda size, threshold=threshold: size > threshold):
-            return x, handle.counters
-    return None, handle.counters
+            ops = [op for v in sorted(nbr_set)
+                   for op in (DeleteEdge(n + v, v), DeleteEdge(3 * n + v, 2 * n + v))]
+        return ops, KAugFreeMatchingSize(5), lambda size: size > threshold
+
+    return _first_anchor(handle, mode, n, stage)
 
 
 def build_17bpm_gadget(g: Graph, *, anchor_pairs: bool = True) -> Graph:
@@ -389,19 +366,15 @@ def triangle_via_17bpm(g: Graph, *, mode="full", factory=direct_factory):
                 f"matching size {size} exceeds the miss bound but is not {4 * n - 1}")
         return True
 
-    for x in range(n):
+    def stage(x):
         if mode is Mode.INCREMENTAL:
-            install = [op for v in range(n) if v != x
-                       for op in (InsertEdge(v, n + v),
-                                  InsertEdge(6 * n + v, 7 * n + v))]
-            uninstall: list = []
+            ops = [op for v in range(n) if v != x
+                   for op in (InsertEdge(v, n + v), InsertEdge(6 * n + v, 7 * n + v))]
         else:
-            install = [DeleteEdge(x, n + x), DeleteEdge(6 * n + x, 7 * n + x)]
-            uninstall = [InsertEdge(x, n + x), InsertEdge(6 * n + x, 7 * n + x)]
-        if _anchor_stage(handle, mode, install, uninstall,
-                         KAugFreeMatchingSize(17), interpret):
-            return x, handle.counters
-    return None, handle.counters
+            ops = [DeleteEdge(x, n + x), DeleteEdge(6 * n + x, 7 * n + x)]
+        return ops, KAugFreeMatchingSize(17), interpret
+
+    return _first_anchor(handle, mode, n, stage)
 
 
 # ---------------------------------------------------------------------------

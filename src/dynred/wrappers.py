@@ -17,8 +17,16 @@ nowhere, and their state is deliberately not tracked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .engines import Mode, ProblemKind, check_mode_legality, direct_factory
+from .engines import (
+    Mode,
+    ProblemKind,
+    _as_kind,
+    _as_mode,
+    check_mode_legality,
+    direct_factory,
+)
 from .model import (
     ActivateNode,
     AddToScope,
@@ -55,11 +63,11 @@ class _WrapperBase:
     query_type = None
 
     def __init__(self, kind, mode):
-        kind = ProblemKind(kind) if not isinstance(kind, ProblemKind) else kind
+        kind = _as_kind(kind)
         if kind is not self.outer_kind:
             raise DomainError(
                 f"{type(self).__name__} serves {self.outer_kind.value}, got {kind.value}")
-        self.mode = Mode(mode) if not isinstance(mode, Mode) else mode
+        self.mode = _as_mode(mode)
         self.kind = kind
         self.counters = CostCounters()
         self._outer_depth = 0
@@ -95,6 +103,14 @@ class _WrapperBase:
 
     def _answer(self, q):
         raise NotImplementedError
+
+
+def _factory_maker(cls):
+    """The public maker for cls: maker(inner_factory) returns an engine
+    factory that builds cls over engines made by inner_factory."""
+    def maker(inner_factory=direct_factory):
+        return partial(cls, inner_factory=inner_factory)
+    return maker
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +174,7 @@ class SubconnViaStreach(_WrapperBase):
         return self.inner.query(StReachable())
 
 
-def subconn_via_streach(inner_factory=direct_factory):
-    def factory(kind, mode, instance, *, scope=None):
-        return SubconnViaStreach(kind, mode, instance, inner_factory, scope=scope)
-    return factory
+subconn_via_streach = _factory_maker(SubconnViaStreach)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +249,7 @@ class StreachViaBpm(_WrapperBase):
         return self.inner.query(HasPerfectMatching())
 
 
-def streach_via_bpm(inner_factory=direct_factory):
-    def factory(kind, mode, instance, *, scope=None):
-        return StreachViaBpm(kind, mode, instance, inner_factory, scope=scope)
-    return factory
+streach_via_bpm = _factory_maker(StreachViaBpm)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +356,7 @@ def _validated_offset_law() -> str:
     return _OFFSET_LAW
 
 
-def stsp_via_bwm(inner_factory=direct_factory):
-    def factory(kind, mode, instance, *, scope=None):
-        return StspViaBwm(kind, mode, instance, inner_factory, scope=scope)
-    return factory
+stsp_via_bwm = _factory_maker(StspViaBwm)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +418,7 @@ class StreachViaSc(_WrapperBase):
         return self.inner.query(StronglyConnected())
 
 
-def streach_via_sc(inner_factory=direct_factory):
-    def factory(kind, mode, instance, *, scope=None):
-        return StreachViaSc(kind, mode, instance, inner_factory, scope=scope)
-    return factory
+streach_via_sc = _factory_maker(StreachViaSc)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,4 @@ class SubunionViaConnsub(_WrapperBase):
         return self.inner.query(InducedConnected())
 
 
-def subunion_via_connsub(inner_factory=direct_factory):
-    def factory(kind, mode, instance, *, scope=None):
-        return SubunionViaConnsub(kind, mode, instance, inner_factory, scope=scope)
-    return factory
+subunion_via_connsub = _factory_maker(SubunionViaConnsub)

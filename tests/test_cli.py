@@ -197,3 +197,39 @@ def test_weighted_graph_required_for_mwt(capsys, k3_file):
     code, _ = run_cli(capsys, "run", "--reduction", "mwt-stsp",
                       "--input", k3_file)
     assert code == 1
+
+
+@pytest.mark.parametrize("name,text,extra,message", [
+    ("ssr", SAT_CNF, ["--delta", "abc"], "--delta 'abc' is not a fraction"),
+    ("ssr", SAT_CNF, ["--delta", "1/0"], "--delta '1/0' is not a fraction"),
+    ("3sum-listpairs", "parts 2 1 0\n", [], "needs n_c and r >= 1"),
+], ids=["delta-text", "delta-zero-denominator", "parts-r-zero"])
+def test_bad_delta_and_header_exit_1_as_domain_errors(capsys, tmp_path, name,
+                                                     text, extra, message):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    code = main(["run", "--reduction", name, "--input", str(p)] + extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_3_with_traceback(capsys, tmp_path, monkeypatch):
+    import dataclasses
+
+    from dynred.model import ConstructionError
+
+    def broken(f, mode, ctx):
+        raise ConstructionError("gadget broke its own invariant")
+
+    entry = dataclasses.replace(REDUCTIONS["ssr"], run=broken)
+    monkeypatch.setitem(REDUCTIONS, "ssr", entry)
+    p = tmp_path / "f.cnf"
+    p.write_text(SAT_CNF)
+    code = main(["run", "--reduction", "ssr", "--input", str(p)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "ConstructionError: gadget broke its own invariant" in captured.err

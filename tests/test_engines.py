@@ -15,11 +15,14 @@ from dynred.engines import (
     Mode,
     ProblemKind,
     compute_kaug_free_matching,
+    direct_factory,
     engine_checkpoint,
     engine_new,
     engine_query,
     engine_rollback,
     engine_update,
+    inverse,
+    run_stage,
 )
 from dynred.model import (
     ActivateNode,
@@ -54,6 +57,7 @@ from dynred.model import (
     StronglyConnected,
     UnionIsUniverse,
 )
+from dynred.sat_reductions import _engine_digest
 
 
 def build(n, edges, **kw):
@@ -180,6 +184,31 @@ def test_query_type_mismatch():
     with pytest.raises(DomainError):
         engine_query(st, StronglyConnected())
     assert st.counters.queries == 0
+
+
+@pytest.mark.parametrize("kind,make,query,error", [
+    (ProblemKind.REACH_COUNT,
+     lambda: build(3, [(0, 1)], directed=True, s=0),
+     ReachCountLessThan(-1), DomainError),
+    (ProblemKind.SCC_2_VS_K,
+     lambda: build(3, [(0, 1)], directed=True),
+     SccCount2VsK(1), DomainError),
+    (ProblemKind.KBPM,
+     lambda: build(4, [(0, 2), (1, 3)]),
+     KAugFreeMatchingSize(2), DomainError),
+    (ProblemKind.PP,
+     lambda: SetSystem(3, [[0, 1]]),
+     Member(0, 3), DomainError),
+    (ProblemKind.EMPTY_PP,
+     lambda: SetSystem(3, [[0, 1]]),
+     IsEmpty(1), StateError),
+], ids=["reach-count-limit", "scc-k", "kbpm-even-k", "pp-universe", "empty-pp-id"])
+def test_rejected_query_leaves_counters(kind, make, query, error):
+    st = engine_new(kind, "full", make())
+    before = st.counters.as_dict()
+    with pytest.raises(error):
+        engine_query(st, query)
+    assert st.counters.as_dict() == before
 
 
 # ---------------------------------------------------------------------------
@@ -609,3 +638,69 @@ def test_sub_union_cover_matches_recompute():
                 scoped.add(i)
             union = set().union(*(ss.get(i) for i in scoped)) if scoped else set()
             assert engine_query(st, UnionIsUniverse()) == (union == set(range(universe)))
+
+
+# ---------------------------------------------------------------------------
+# staged reductions: run_stage and inverse
+
+
+def _reach_handle():
+    return direct_factory(ProblemKind.ST_REACH, "full",
+                          build(4, [(0, 1)], directed=True, s=0, t=3))
+
+
+@pytest.mark.parametrize("rollback", [False, True])
+def test_run_stage_restores_state(rollback):
+    eng = _reach_handle()
+    base = eng.state.graph.digest()
+    ops = [InsertEdge(1, 2), InsertEdge(2, 3)]
+    hit = run_stage(eng, ops, StReachable(), rollback=rollback)
+    assert hit is True
+    assert eng.state.graph.digest() == base
+    c = eng.counters
+    if rollback:
+        assert (c.updates, c.queries, c.rollback_ops) == (2, 1, 2)
+    else:
+        assert (c.updates, c.queries, c.rollback_ops) == (4, 1, 0)
+
+
+@pytest.mark.parametrize("rollback", [False, True])
+def test_run_stage_keep_hit(rollback):
+    eng = _reach_handle()
+    base = eng.state.graph.digest()
+    # a miss is restored even with keep_hit
+    assert run_stage(eng, [InsertEdge(1, 2)], StReachable(), rollback=rollback,
+                     keep_hit=True) is False
+    assert eng.state.graph.digest() == base
+    # a hit stays installed
+    assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), rollback=rollback,
+                     keep_hit=True) is True
+    assert eng.state.graph.has_edge(1, 3)
+    # interpret maps the answer; a false interpreted answer is restored
+    assert run_stage(eng, [InsertEdge(1, 2)], StReachable(), lambda ok: not ok,
+                     rollback=rollback, keep_hit=True) is False
+    assert not eng.state.graph.has_edge(1, 2)
+
+
+def test_inverse_round_trips_each_paired_op():
+    g = build(4, [(0, 1)], s=0, t=3, active={1})
+    subconn = direct_factory(ProblemKind.ST_SUBCONN, "full", g)
+    scoped = direct_factory(ProblemKind.SUB_UNION, "full",
+                            SetSystem(2, [[0], [1]]), scope={0})
+    cases = [
+        (subconn, InsertEdge(0, 1)),     # edge present: delete, then insert
+        (subconn, DeleteEdge(1, 2)),     # edge absent: insert, then delete
+        (subconn, ActivateNode(1)),
+        (subconn, DeactivateNode(2)),
+        (scoped, AddToScope(0)),
+        (scoped, RemoveFromScope(1)),
+    ]
+    for eng, op in cases:
+        base = _engine_digest(eng)
+        eng.update(inverse(op))
+        assert _engine_digest(eng) != base
+        eng.update(op)
+        assert _engine_digest(eng) == base
+    assert inverse(DeleteEdge(0, 1)) == InsertEdge(0, 1)
+    with pytest.raises(DomainError):
+        inverse(IntersectSets(0, 1))

@@ -70,11 +70,6 @@ def test_oracle_min_weight_triangle_k3():
     assert oracles.oracle_min_weight_triangle(g) == (0, 1, 2, 6)
 
 
-def test_oracle_threesum():
-    assert oracles.oracle_threesum([1, 2, 3, 5]) == [(1, 1, 2), (1, 2, 3), (2, 3, 5)]
-    assert oracles.oracle_threesum([10, 21]) == []
-
-
 # ---------------------------------------------------------------------------
 # reachability and SCCs
 
@@ -158,14 +153,6 @@ def test_domain_errors():
         oracles.st_reachable(und)  # no s/t
     with pytest.raises(DomainError):
         oracles.induced_connected(und)  # no active set
-
-
-def test_metrics_bundle_none_fields():
-    m = oracles.oracle_graph_metrics(build(2, [(0, 1)], directed=True))
-    assert m.st_reachable is None and m.diameter is None
-    assert m.scc_count == 2
-    m2 = oracles.oracle_graph_metrics(build(2, [(0, 1)], s=0, t=1))
-    assert m2.st_connected is True and m2.scc_count is None
 
 
 # second, independent reachability implementation: boolean matrix powers

@@ -18,7 +18,6 @@ from dynred.pair_listing import (
     gen_tripartite_instance,
     list_pairs,
     pairs_to_triangles,
-    triangle_probe,
     _ceil_log2,
     _derived_side,
 )
@@ -111,9 +110,9 @@ def test_probe_worked_example():
     probe = build_subconn_probe(inst)
     assert probe.eng.query(StConnectedImport()) is False
     leaf = probe.levels
-    assert triangle_probe(probe, 0, leaf, 1) is True   # b0 shares c0
-    assert triangle_probe(probe, 0, leaf, 2) is False  # b1 has no C edge
-    assert triangle_probe(probe, 1, 0, 1) is False     # a1 has no neighbors
+    assert probe.probe(0, leaf, 1) is True   # b0 shares c0
+    assert probe.probe(0, leaf, 2) is False  # b1 has no C edge
+    assert probe.probe(1, 0, 1) is False     # a1 has no neighbors
 
 
 def StConnectedImport():
@@ -126,10 +125,10 @@ def test_probe_costs():
     probe = build_subconn_probe(inst)
     c = probe.counters
     before = (c.updates, c.queries, c.rollback_ops)
-    triangle_probe(probe, 1, 0, 1)  # no members: 1 query, no activations
+    probe.probe(1, 0, 1)  # no members: 1 query, no activations
     assert (c.updates, c.queries, c.rollback_ops) == (
         before[0], before[1] + 1, before[2])
-    triangle_probe(probe, 0, 0, 1)  # a plus two neighbors, rolled back
+    probe.probe(0, 0, 1)  # a plus two neighbors, rolled back
     assert (c.updates, c.queries, c.rollback_ops) == (
         before[0] + 3, before[1] + 2, before[2] + 3)
 
