@@ -270,7 +270,8 @@ def _build_parser() -> _Parser:
                       help="update regime (default depends on the reduction)")
     runp.add_argument("--delta",
                       help="split fraction for the formula reductions "
-                           "(e.g. 1/2); pair cap for the listing reductions")
+                           "(e.g. 1/2); pair cap for the listing reductions; "
+                           "an error for the graph reductions (tri-*, mwt-*)")
     runp.add_argument("--seed", type=int, default=0,
                       help="seed for the randomized reductions (default 0)")
     runp.add_argument("--oracle-check", action="store_true",
@@ -309,6 +310,9 @@ def _cmd_run(args) -> int:
         return 1
     try:
         ctx = {"delta": _parse_delta(args.delta), "seed": args.seed}
+        if ctx["delta"] is not None and entry.loader == "graph":
+            # the triangle and min-weight reductions have no split or cap
+            raise DomainError(f"--delta does not apply to {args.reduction}")
         instance = _LOADERS[entry.loader](text)
         start = time.perf_counter()
         answer, counters = entry.run(instance, mode, ctx)

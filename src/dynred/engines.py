@@ -132,12 +132,13 @@ class EngineState:
         self.sets: SetSystem | None = None
         self.scope: set[int] | None = None
         self.counters = CostCounters()
-        self._undo: list[tuple] = []
-        self._live: dict[int, int] = {}
+        self._apply = _DISPATCH[kind, mode]  # op type -> handler
+        self._undo: list[tuple] = []  # (callable, args) pairs
+        self._live: dict[int, int] = {}  # live checkpoint serial -> depth
         self._serial = 0
-        # SUB_UNION: per-element count of scoped sets containing it
-        self._cover: list[int] | None = None
-        self._covered = 0
+        # SUB_UNION: one bitmask of members per set; a SUB_UNION engine
+        # takes no set updates, so its sets never change
+        self._masks: list[int] | None = None
 
     def __repr__(self):
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
@@ -185,10 +186,11 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
                                            + sum(len(s) for s in instance.sets))
         if kind is ProblemKind.SUB_UNION:
             state.scope = set()
-            state._cover = [0] * instance.universe_size
+            state._masks = [sum(1 << x for x in members)
+                            for members in instance.sets]
             if scope is not None:
                 for i in scope:
-                    _scope_add(state, i)
+                    _scope_add(state, AddToScope(i))
         elif scope is not None:
             raise DomainError("scope applies only to sub-union engines")
     return state
@@ -230,94 +232,142 @@ def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
 # ---------------------------------------------------------------------------
 # updates
 
+# One handler per update type: it checks the op against the state, applies
+# it and, while a checkpoint is live, logs the (callable, args) pair that
+# undoes it. Handlers return the fresh set id for InsertSet/IntersectSets.
+#
+# Logging only under a live checkpoint is sound because the log is empty
+# whenever no checkpoint is live:
+# - it is empty at construction, and nothing is logged while no checkpoint
+#   is live, so the first checkpoint of a run of live ones has depth 0;
+# - every later checkpoint of the run is taken while the first is live, and
+#   rollback consumes every checkpoint taken after its target, so the first
+#   is the last one consumed, and consuming it unwinds the log to depth 0;
+# - while any checkpoint is live every update is logged, so the depth of
+#   each live checkpoint stays valid.
+# A checkpoint abandoned by keep_hit stays live, so logging stays on.
 
-def _scope_add(state: EngineState, i: int) -> None:
+
+def _ins_edge(state: EngineState, op: InsertEdge) -> None:
+    g = state.graph
+    if g.weighted and op.w is None:
+        raise DomainError("weighted graph needs an edge weight")
+    g.add_edge(op.u, op.v, op.w)
+    if state._live:
+        state._undo.append((g._unlink, (op.u, op.v)))
+
+
+def _del_edge(state: EngineState, op: DeleteEdge) -> None:
+    g = state.graph
+    w = g.remove_edge(op.u, op.v)
+    if state._live:
+        state._undo.append((g._link, (op.u, op.v, w)))
+
+
+def _activate(state: EngineState, op: ActivateNode) -> None:
+    g = state.graph
+    v = op.v
+    if not (0 <= v < g.node_count):
+        raise DomainError(f"node {v} out of range")
+    if v in g.active:
+        raise StateError(f"node {v} already active")
+    g.active.add(v)
+    if state._live:
+        state._undo.append((g.active.discard, (v,)))
+
+
+def _deactivate(state: EngineState, op: DeactivateNode) -> None:
+    active = state.graph.active
+    v = op.v
+    if v not in active:
+        raise StateError(f"node {v} not active")
+    active.discard(v)
+    if state._live:
+        state._undo.append((active.add, (v,)))
+
+
+def _scope_add(state: EngineState, op: AddToScope) -> None:
+    i = op.set_id
     state.sets.get(i)  # range check
-    if i in state.scope:
+    scope = state.scope
+    if i in scope:
         raise StateError(f"set {i} already in scope")
-    state.scope.add(i)
-    for x in state.sets.get(i):
-        state._cover[x] += 1
-        if state._cover[x] == 1:
-            state._covered += 1
+    scope.add(i)
+    if state._live:
+        state._undo.append((scope.discard, (i,)))
 
 
-def _scope_remove(state: EngineState, i: int) -> None:
-    if i not in state.scope:
+def _scope_remove(state: EngineState, op: RemoveFromScope) -> None:
+    i = op.set_id
+    scope = state.scope
+    if i not in scope:
         raise StateError(f"set {i} not in scope")
-    state.scope.discard(i)
-    for x in state.sets.get(i):
-        state._cover[x] -= 1
-        if state._cover[x] == 0:
-            state._covered -= 1
+    scope.discard(i)
+    if state._live:
+        state._undo.append((scope.add, (i,)))
+
+
+def _insert_set(state: EngineState, op: InsertSet) -> int:
+    sets = state.sets
+    if len(sets) >= limits.MAX_SETS:
+        raise GuardError("set count cap reached")
+    new_id = sets.append_set(op.members)
+    if state._live:
+        state._undo.append((sets.pop_set, ()))
+    return new_id
+
+
+def _intersect_sets(state: EngineState, op: IntersectSets) -> int:
+    sets = state.sets
+    if len(sets) >= limits.MAX_SETS:
+        raise GuardError("set count cap reached")
+    a, b = sets.get(op.i), sets.get(op.j)
+    sets.sets.append(a & b)  # members of a and b are already in the universe
+    if state._live:
+        state._undo.append((sets.pop_set, ()))
+    return len(sets) - 1
+
+
+# Update families: their op types, the kinds that take them, and how a
+# rejection names them.
+_FAMILIES = (
+    ((InsertEdge, DeleteEdge), GRAPH_KINDS, "edge updates"),
+    ((ActivateNode, DeactivateNode), NODE_OP_KINDS, "node activation"),
+    ((AddToScope, RemoveFromScope), {ProblemKind.SUB_UNION}, "scope updates"),
+    ((InsertSet, IntersectSets), {ProblemKind.PP, ProblemKind.EMPTY_PP},
+     "set updates"),
+)
+
+_HANDLERS = {
+    InsertEdge: _ins_edge,
+    DeleteEdge: _del_edge,
+    ActivateNode: _activate,
+    DeactivateNode: _deactivate,
+    AddToScope: _scope_add,
+    RemoveFromScope: _scope_remove,
+    InsertSet: _insert_set,
+    IntersectSets: _intersect_sets,
+}
+
+_ILLEGAL_IN = {Mode.FULL: (), Mode.INCREMENTAL: DELETE_TYPE,
+               Mode.DECREMENTAL: INSERT_TYPE}
+
+# (kind, mode) -> {op type: handler}, for the op types the kind takes and
+# the mode allows; every other op is rejected by the checks below.
+_DISPATCH = {
+    (kind, mode): {t: _HANDLERS[t]
+                   for types, kinds, _ in _FAMILIES if kind in kinds
+                   for t in types if t not in _ILLEGAL_IN[mode]}
+    for kind in ProblemKind for mode in Mode
+}
 
 
 def _check_op_allowed(state: EngineState, op) -> None:
-    kind = state.kind
-    if isinstance(op, (InsertEdge, DeleteEdge)):
-        if kind not in GRAPH_KINDS:
-            raise DomainError(f"edge updates not supported by {kind.value}")
-    elif isinstance(op, (ActivateNode, DeactivateNode)):
-        if kind not in NODE_OP_KINDS:
-            raise DomainError(f"node activation not supported by {kind.value}")
-    elif isinstance(op, (AddToScope, RemoveFromScope)):
-        if kind is not ProblemKind.SUB_UNION:
-            raise DomainError(f"scope updates not supported by {kind.value}")
-    elif isinstance(op, (InsertSet, IntersectSets)):
-        if kind not in (ProblemKind.PP, ProblemKind.EMPTY_PP):
-            raise DomainError(f"set updates not supported by {kind.value}")
-    else:
-        raise DomainError(f"unknown update {op!r}")
-
-
-def _apply_update(state: EngineState, op) -> int | None:
-    """Apply op, push its inverse onto the undo log, return a new set id if any."""
-    g = state.graph
-    if isinstance(op, InsertEdge):
-        if g.weighted and op.w is None:
-            raise DomainError("weighted graph needs an edge weight")
-        g.add_edge(op.u, op.v, op.w)
-        state._undo.append(("del_edge", op.u, op.v))
-        return None
-    if isinstance(op, DeleteEdge):
-        w = g.remove_edge(op.u, op.v)
-        state._undo.append(("ins_edge", op.u, op.v, w))
-        return None
-    if isinstance(op, ActivateNode):
-        if not (0 <= op.v < g.node_count):
-            raise DomainError(f"node {op.v} out of range")
-        if op.v in g.active:
-            raise StateError(f"node {op.v} already active")
-        g.active.add(op.v)
-        state._undo.append(("deact", op.v))
-        return None
-    if isinstance(op, DeactivateNode):
-        if op.v not in g.active:
-            raise StateError(f"node {op.v} not active")
-        g.active.discard(op.v)
-        state._undo.append(("act", op.v))
-        return None
-    if isinstance(op, AddToScope):
-        _scope_add(state, op.set_id)
-        state._undo.append(("scope_del", op.set_id))
-        return None
-    if isinstance(op, RemoveFromScope):
-        _scope_remove(state, op.set_id)
-        state._undo.append(("scope_add", op.set_id))
-        return None
-    if isinstance(op, InsertSet):
-        if len(state.sets) >= limits.MAX_SETS:
-            raise GuardError("set count cap reached")
-        new_id = state.sets.append_set(op.members)
-        state._undo.append(("pop_set",))
-        return new_id
-    if isinstance(op, IntersectSets):
-        if len(state.sets) >= limits.MAX_SETS:
-            raise GuardError("set count cap reached")
-        a, b = state.sets.get(op.i), state.sets.get(op.j)
-        new_id = state.sets.append_set(a & b)
-        state._undo.append(("pop_set",))
-        return new_id
+    for types, kinds, name in _FAMILIES:
+        if isinstance(op, types):
+            if state.kind not in kinds:
+                raise DomainError(f"{name} not supported by {state.kind.value}")
+            return
     raise DomainError(f"unknown update {op!r}")
 
 
@@ -331,9 +381,12 @@ def check_mode_legality(mode: Mode, op) -> None:
 
 def engine_update(state: EngineState, op) -> int | None:
     """Apply one update. Returns the fresh set id for InsertSet/IntersectSets."""
-    _check_op_allowed(state, op)
-    check_mode_legality(state.mode, op)
-    result = _apply_update(state, op)
+    handler = state._apply.get(type(op))
+    if handler is None:  # not in the table: the checks raise the usual error
+        _check_op_allowed(state, op)
+        check_mode_legality(state.mode, op)
+        raise DomainError(f"unknown update {op!r}")  # a subclass of an op type
+    result = handler(state, op)
     state.counters.updates += 1
     return result
 
@@ -349,27 +402,6 @@ def engine_checkpoint(state: EngineState) -> Checkpoint:
     return cp
 
 
-def _undo_entry(state: EngineState, entry: tuple) -> None:
-    tag = entry[0]
-    g = state.graph
-    if tag == "del_edge":
-        g.remove_edge(entry[1], entry[2])
-    elif tag == "ins_edge":
-        g.add_edge(entry[1], entry[2], entry[3])
-    elif tag == "deact":
-        g.active.discard(entry[1])
-    elif tag == "act":
-        g.active.add(entry[1])
-    elif tag == "scope_del":
-        _scope_remove(state, entry[1])
-    elif tag == "scope_add":
-        _scope_add(state, entry[1])
-    elif tag == "pop_set":
-        state.sets.pop_set()
-    else:
-        raise StateError(f"corrupt undo entry {entry!r}")
-
-
 def engine_rollback(state: EngineState, cp: Checkpoint) -> None:
     """Unwind the undo log back to cp. Consumes cp and every checkpoint taken
     after it. Legal in every mode; each undone update counts as one rollback op."""
@@ -378,10 +410,12 @@ def engine_rollback(state: EngineState, cp: Checkpoint) -> None:
         raise StateError("checkpoint is not live (already rolled back or foreign)")
     if depth != cp.depth:
         raise StateError("checkpoint depth mismatch")
-    while len(state._undo) > depth:
-        entry = state._undo.pop()
-        _undo_entry(state, entry)
-        state.counters.rollback_ops += 1
+    undo = state._undo
+    count = len(undo) - depth
+    for _ in range(count):
+        fn, args = undo.pop()
+        fn(*args)
+    state.counters.rollback_ops += count
     dead = [s for s in state._live if s >= cp.serial]
     for s in dead:
         del state._live[s]
@@ -717,7 +751,11 @@ def _answer(state: EngineState, q):
     if kind is ProblemKind.ST_SP:
         return _dijkstra_st(g)
     if kind is ProblemKind.SUB_UNION:
-        return state._covered == state.sets.universe_size
+        masks = state._masks
+        union = 0
+        for i in state.scope:
+            union |= masks[i]
+        return union == (1 << state.sets.universe_size) - 1
     if kind is ProblemKind.PP:
         if not (0 <= q.u < state.sets.universe_size):
             raise DomainError(f"element {q.u} outside universe")

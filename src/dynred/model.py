@@ -77,6 +77,14 @@ class CostCounters:
 # graphs
 
 
+def check_edge_ids(u: int, v: int, node_count: int) -> None:
+    """Raise DomainError unless u and v are distinct ids in [0, node_count)."""
+    if not (0 <= u < node_count) or not (0 <= v < node_count):
+        raise DomainError(f"edge ({u},{v}) out of range for {node_count} nodes")
+    if u == v:
+        raise DomainError(f"self-loop ({u},{u}) not allowed")
+
+
 def edge_key(u: int, v: int, directed: bool) -> tuple[int, int]:
     if directed or u <= v:
         return (u, v)
@@ -130,15 +138,10 @@ class Graph:
 
     # -- mutation
 
-    def _check_ids(self, u: int, v: int) -> None:
-        if not (0 <= u < self.node_count) or not (0 <= v < self.node_count):
-            raise DomainError(f"edge ({u},{v}) out of range for {self.node_count} nodes")
-        if u == v:
-            raise DomainError(f"self-loop ({u},{u}) not allowed")
-
     def add_edge(self, u: int, v: int, w: int | None = None) -> None:
-        self._check_ids(u, v)
-        key = edge_key(u, v, self.directed)
+        check_edge_ids(u, v, self.node_count)
+        directed = self.directed
+        key = (u, v) if directed or u <= v else (v, u)
         if key in self._w:
             raise StateError(f"duplicate edge ({u},{v})")
         if self.weighted:
@@ -154,21 +157,41 @@ class Graph:
                 raise DomainError(f"edge ({u},{v}) carries weight on unweighted graph")
             self._w[key] = 0  # presence marker; weight unused
         self._adj[u].add(v)
-        if not self.directed:
+        if not directed:
             self._adj[v].add(u)
         self.edge_count += 1
 
     def remove_edge(self, u: int, v: int) -> int | None:
-        self._check_ids(u, v)
-        key = edge_key(u, v, self.directed)
-        if key not in self._w:
+        check_edge_ids(u, v, self.node_count)
+        directed = self.directed
+        key = (u, v) if directed or u <= v else (v, u)
+        w = self._w.pop(key, None)
+        if w is None:
             raise StateError(f"missing edge ({u},{v})")
-        w = self._w.pop(key)
+        self._adj[u].discard(v)
+        if not directed:
+            self._adj[v].discard(u)
+        self.edge_count -= 1
+        return w if self.weighted else None
+
+    # Unchecked edits for engine rollback: each restores an edge state the
+    # graph held a moment ago, which add_edge/remove_edge already checked.
+
+    def _link(self, u: int, v: int, w: int | None) -> None:
+        """Re-insert edge (u, v) with the weight remove_edge returned."""
+        self._w[(u, v) if self.directed or u <= v else (v, u)] = 0 if w is None else w
+        self._adj[u].add(v)
+        if not self.directed:
+            self._adj[v].add(u)
+        self.edge_count += 1
+
+    def _unlink(self, u: int, v: int) -> None:
+        """Remove edge (u, v), which add_edge inserted."""
+        del self._w[(u, v) if self.directed or u <= v else (v, u)]
         self._adj[u].discard(v)
         if not self.directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
-        return w if self.weighted else None
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v, self.directed) in self._w

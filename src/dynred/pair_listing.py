@@ -80,12 +80,6 @@ class TripartiteInstance:
             raise DomainError(
                 f"{len(self.e_ab)} ab edges exceed cap {CAP_FACTOR * self.n_c * self.r}")
 
-    def c_neighbors_of_a(self, a: int) -> list[int]:
-        return sorted(c for x, c in self.e_ac if x == a)
-
-    def c_neighbors_of_b(self, b: int) -> list[int]:
-        return sorted(c for x, c in self.e_bc if x == b)
-
 
 def _derived_side(n_c: int, r: int) -> int:
     """Exact ceil(r * sqrt(n_c)) without floating point."""

@@ -12,6 +12,10 @@ stay correct on both levels.
 Suppressed updates (fan-out zero) are ops that provably cannot change any
 answer of the outer problem; they are mode-checked and counted but forwarded
 nowhere, and their state is deliberately not tracked.
+
+An outer op's ids are checked against the outer instance before anything is
+forwarded, so an update that raises leaves the inner state untouched even
+when it fans out to two inner ops.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ from .model import (
     MaxWeightPmWeight,
     RemoveFromScope,
     SetSystem,
+    StateError,
     StConnected,
     StDistance,
     StReachable,
     StronglyConnected,
     UnionIsUniverse,
+    check_edge_ids,
 )
 
 
@@ -165,8 +171,10 @@ class SubconnViaStreach(_WrapperBase):
                 return []
             return [DeleteEdge(op.v, n + op.v)]
         if isinstance(op, InsertEdge):
+            check_edge_ids(op.u, op.v, n)
             return [InsertEdge(n + op.u, op.v), InsertEdge(n + op.v, op.u)]
         if isinstance(op, DeleteEdge):
+            check_edge_ids(op.u, op.v, n)
             return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
@@ -213,7 +221,7 @@ class StreachViaBpm(_WrapperBase):
             raise DomainError("needs a directed graph with s and t")
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._s, self._t = s, t
+        self._n, self._s, self._t = n, s, t
         self._out_id, self._in_id = _split_ids(n, s, t)
         h = Graph(2 * n - 2)
         pair_edges = 0
@@ -235,6 +243,8 @@ class StreachViaBpm(_WrapperBase):
         self.inner = inner_factory(ProblemKind.BPMATCH, self.mode, h)
 
     def _translate(self, op):
+        if isinstance(op, (InsertEdge, DeleteEdge)):
+            check_edge_ids(op.u, op.v, self._n)
         if isinstance(op, InsertEdge):
             if op.u == self._t or op.v == self._s:
                 return []
@@ -280,7 +290,7 @@ class StspViaBwm(_WrapperBase):
         self._directed = instance.directed
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._s, self._t = s, t
+        self._n, self._s, self._t = n, s, t
         self._base = instance.max_weight + 1
         self._out_id, self._in_id = _split_ids(n, s, t)
         self._offset = self._pick_offset(n)
@@ -306,6 +316,8 @@ class StspViaBwm(_WrapperBase):
         return (n - 1) * self._base if law == "n-1" else n * self._base
 
     def _translate(self, op):
+        if isinstance(op, (InsertEdge, DeleteEdge)):
+            check_edge_ids(op.u, op.v, self._n)
         if isinstance(op, InsertEdge):
             if op.w is None:
                 raise DomainError("weighted update needs a weight")
@@ -384,7 +396,7 @@ class StreachViaSc(_WrapperBase):
             raise DomainError("needs a directed graph with s and t")
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._s, self._t = s, t
+        self._n, self._s, self._t = n, s, t
         h = Graph(n, directed=True)
         permanent = 0
         for v in range(n):
@@ -408,6 +420,7 @@ class StreachViaSc(_WrapperBase):
 
     def _translate(self, op):
         if isinstance(op, (InsertEdge, DeleteEdge)):
+            check_edge_ids(op.u, op.v, self._n)
             if op.v == self._s or op.u == self._t:
                 return []  # shadowed by a permanent arc or irrelevant to s -> t
             cls = InsertEdge if isinstance(op, InsertEdge) else DeleteEdge
@@ -443,7 +456,7 @@ class SubunionViaConnsub(_WrapperBase):
             raise DomainError("needs a SetSystem instance")
         n_u = instance.universe_size
         k = len(instance.sets)
-        self._n_u = n_u
+        self._n_u, self._k = n_u, k
         hub = n_u + k
         scope = set(scope) if scope is not None else set()
         for i in scope:
@@ -464,6 +477,9 @@ class SubunionViaConnsub(_WrapperBase):
         self.inner = inner_factory(ProblemKind.CONN_SUB, self.mode, g)
 
     def _translate(self, op):
+        if isinstance(op, (AddToScope, RemoveFromScope)):
+            if not (0 <= op.set_id < self._k):
+                raise StateError(f"set id {op.set_id} out of range")
         if isinstance(op, AddToScope):
             return [ActivateNode(self._n_u + op.set_id)]
         if isinstance(op, RemoveFromScope):

@@ -1,0 +1,195 @@
+"""A failed update changes nothing.
+
+Engines of every kind and each of the five wrappers get random valid ops
+mixed with invalid ones: ids out of range, self-loops, duplicate and
+missing edges, nodes and scope sets in the wrong state, bad weights, ops of
+a family the kind does not take, and ops the mode forbids. Any update that
+raises must leave the innermost state digest and all four counters of every
+handle in the chain exactly as they were.
+"""
+
+import random
+
+import pytest
+
+from dynred.engines import (
+    NODE_OP_KINDS,
+    SET_KINDS,
+    Mode,
+    ProblemKind,
+    direct_factory,
+)
+from dynred.model import (
+    ActivateNode,
+    AddToScope,
+    DeactivateNode,
+    DeleteEdge,
+    DomainError,
+    Graph,
+    GuardError,
+    InsertEdge,
+    InsertSet,
+    IntersectSets,
+    ModeError,
+    RemoveFromScope,
+    StateError,
+)
+from dynred.sat_reductions import _engine_digest
+from dynred.verify import random_engine_instance, random_valid_op
+from dynred.wrappers import (
+    stsp_via_bwm,
+    streach_via_bpm,
+    streach_via_sc,
+    subconn_via_streach,
+    subunion_via_connsub,
+)
+
+_ERRORS = (DomainError, StateError, ModeError, GuardError)
+
+WRAPPERS = {
+    "subconn-via-streach": (ProblemKind.ST_SUBCONN, subconn_via_streach()),
+    "streach-via-bpm": (ProblemKind.ST_REACH, streach_via_bpm()),
+    "streach-via-sc": (ProblemKind.ST_REACH, streach_via_sc()),
+    "stsp-via-bwm": (ProblemKind.ST_SP, stsp_via_bwm()),
+    "subunion-via-connsub": (ProblemKind.SUB_UNION, subunion_via_connsub()),
+}
+
+
+def _chain(handle):
+    chain = [handle]
+    while getattr(chain[-1], "inner", None) is not None:
+        chain.append(chain[-1].inner)
+    return chain
+
+
+def _snapshot(handle):
+    return _engine_digest(handle), [h.counters.as_dict() for h in _chain(handle)]
+
+
+def _invalid_op(kind, state, rng):
+    """An op that the direct engine for kind rejects in state."""
+    if kind in SET_KINDS:
+        sets = state.sets
+        k = len(sets)
+        options = [InsertEdge(0, 1), ActivateNode(0),
+                   AddToScope(rng.choice((k, -1))),
+                   RemoveFromScope(rng.choice((k, -1))),
+                   InsertSet(frozenset({sets.universe_size})),
+                   IntersectSets(0, k), IntersectSets(-1, 0)]
+        if kind is ProblemKind.SUB_UNION:
+            if state.scope:
+                options.append(AddToScope(rng.choice(sorted(state.scope))))
+            out = sorted(set(range(k)) - state.scope)
+            if out:
+                options.append(RemoveFromScope(rng.choice(out)))
+        return rng.choice(options)
+    g = state.graph
+    n = g.node_count
+    x, y = rng.randrange(n), rng.randrange(n)
+    w = rng.randint(1, g.max_weight) if g.weighted else None
+    options = [InsertEdge(x, x, w), DeleteEdge(x, x),
+               InsertEdge(x, rng.choice((n, -1, n + y, 2 * n)), w),
+               InsertEdge(rng.choice((n, -1, n + y)), x, w),
+               DeleteEdge(rng.choice((n, -1, n + y)), x),
+               DeleteEdge(x, rng.choice((n, -1, n + y))),
+               AddToScope(0), InsertSet(frozenset())]
+    if g.weighted:
+        options += [InsertEdge(x, y), InsertEdge(x, y, g.max_weight + 1),
+                    InsertEdge(x, y, 0)]
+    else:
+        options.append(InsertEdge(x, y, 1))
+    edges = g.edges()
+    if edges:
+        u, v = rng.choice(edges)
+        options.append(InsertEdge(u, v, w))
+        if not g.directed:
+            options.append(InsertEdge(v, u, w))
+    absent = [(u, v) for u in range(n) for v in range(n)
+              if u != v and not g.has_edge(u, v)]
+    if absent:
+        options.append(DeleteEdge(*rng.choice(absent)))
+    if kind in NODE_OP_KINDS:
+        options += [ActivateNode(rng.choice((n, -1)))]
+        if g.active:
+            options.append(ActivateNode(rng.choice(sorted(g.active))))
+        inactive = sorted(set(range(n)) - g.active)
+        if inactive:
+            options.append(DeactivateNode(rng.choice(inactive)))
+    else:
+        options.append(ActivateNode(x))
+    return rng.choice(options)
+
+
+def _next_op(kind, state, rng, aux):
+    """A valid op (possibly illegal in mode), or an invalid one."""
+    if rng.random() < 0.5:
+        op = random_valid_op(kind, state, rng, aux)
+        if op is not None:
+            return op
+    return _invalid_op(kind, state, rng)
+
+
+def _drive(handle, mirror, kind, rng, aux, steps):
+    """Apply steps ops to handle, drawn from mirror's state. Returns the
+    number of updates that raised."""
+    failed = 0
+    for _ in range(steps):
+        op = _next_op(kind, mirror.state, rng, aux)
+        before = _snapshot(handle)
+        try:
+            handle.update(op)
+        except _ERRORS:
+            assert _snapshot(handle) == before, (kind, op)
+            failed += 1
+            continue
+        if handle is not mirror:
+            try:
+                mirror.update(op)
+            except _ERRORS:
+                pass  # a wrapper accepts ops on arcs it suppresses
+    return failed
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+def test_failed_engine_update_changes_nothing(kind):
+    rng = random.Random(f"atomic/{kind.value}")
+    failed = 0
+    for _ in range(12):
+        mode = rng.choice(list(Mode))
+        inst, aux = random_engine_instance(kind, rng, 7)
+        eng = direct_factory(kind, mode, inst, scope=aux.get("scope"))
+        if rng.random() < 0.5:
+            eng.checkpoint()  # updates are logged too
+        failed += _drive(eng, eng, kind, rng, aux, 30)
+    assert failed > 50
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_failed_wrapper_update_changes_nothing(name):
+    kind, factory = WRAPPERS[name]
+    rng = random.Random(f"atomic/{name}")
+    failed = 0
+    for _ in range(12):
+        mode = rng.choice(list(Mode))
+        inst, aux = random_engine_instance(kind, rng, 7)
+        scope = aux.get("scope")
+        handle = factory(kind, mode, inst, scope=scope)
+        mirror = direct_factory(kind, mode, inst, scope=scope)
+        if rng.random() < 0.5:
+            handle.checkpoint()
+        failed += _drive(handle, mirror, kind, rng, aux, 30)
+    assert failed > 50
+
+
+@pytest.mark.parametrize("op", [InsertEdge(2, 2), DeleteEdge(2, 2),
+                                InsertEdge(-1, 2), InsertEdge(1, 6),
+                                DeleteEdge(1, 6)])
+def test_two_arc_fanout_rejects_bad_ids_before_forwarding(op):
+    g = Graph(4, s=0, t=3, active={1})
+    g.add_edge(0, 1)
+    g.add_edge(2, 3)
+    handle = subconn_via_streach()(ProblemKind.ST_SUBCONN, "full", g)
+    before = _snapshot(handle)
+    with pytest.raises(DomainError):
+        handle.update(op)
+    assert _snapshot(handle) == before

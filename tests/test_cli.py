@@ -215,6 +215,25 @@ def test_bad_delta_and_header_exit_1_as_domain_errors(capsys, tmp_path, name,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", sorted(n for n, e in REDUCTIONS.items()
+                                         if e.loader == "graph"))
+def test_graph_reductions_reject_delta(capsys, tmp_path, name):
+    p = tmp_path / "in.graph"
+    p.write_text(weighted_k3_text() if name.startswith("mwt") else k3_text())
+    code = main(["run", "--reduction", name, "--input", str(p),
+                 "--delta", "1/3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"--delta does not apply to {name}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_delta_is_rejected_exactly_by_tri_and_mwt():
+    graph = {n for n, e in REDUCTIONS.items() if e.loader == "graph"}
+    assert graph == {n for n in REDUCTIONS if n.startswith(("tri-", "mwt-"))}
+
+
 def test_internal_error_exits_3_with_traceback(capsys, tmp_path, monkeypatch):
     import dataclasses
 
