@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,31 +87,119 @@ class ProblemKind(Enum):
     EMPTY_PP = "empty-pp"
 
 
-SET_KINDS = {ProblemKind.SUB_UNION, ProblemKind.PP, ProblemKind.EMPTY_PP}
-GRAPH_KINDS = {k for k in ProblemKind} - SET_KINDS
+@dataclass(frozen=True)
+class KindSpec:
+    """What a problem kind answers and takes. directed or weighted None takes
+    either; terminals is "st" (distinct s and t), "s", "sets" (s_set and
+    t_set) or None; the "node" update family needs an active node set."""
 
-# kinds whose state includes a toggleable node set
-NODE_OP_KINDS = {ProblemKind.ST_SUBCONN, ProblemKind.CONN_SUB}
+    query: type
+    answer: Callable  # (state, q) -> answer
+    instance: type = Graph
+    directed: bool | None = None
+    weighted: bool | None = None
+    terminals: str | None = None
+    bipartite: bool = False
+    families: tuple[str, ...] = ("edge",)
 
-QUERY_FOR_KIND = {
-    ProblemKind.ST_REACH: StReachable,
-    ProblemKind.REACH_COUNT: ReachCountLessThan,
-    ProblemKind.SC: StronglyConnected,
-    ProblemKind.SC2: MoreThanTwoSccs,
-    ProblemKind.SCC_2_VS_K: SccCount2VsK,
-    ProblemKind.MAX_SCC: MaxSccSize,
-    ProblemKind.ST_SET_REACH: AllStReachable,
-    ProblemKind.DIAMETER: Diameter,
-    ProblemKind.ST_SUBCONN: StConnected,
-    ProblemKind.CONN_SUB: InducedConnected,
-    ProblemKind.BPMATCH: HasPerfectMatching,
-    ProblemKind.KBPM: KAugFreeMatchingSize,
-    ProblemKind.BWMATCH: MaxWeightPmWeight,
-    ProblemKind.ST_SP: StDistance,
-    ProblemKind.SUB_UNION: UnionIsUniverse,
-    ProblemKind.PP: Member,
-    ProblemKind.EMPTY_PP: IsEmpty,
+
+# Answer functions; the query routines they call are further down.
+
+
+def _reach_count(state, q):
+    if q.limit < 0:
+        raise DomainError("limit must be nonnegative")
+    g = state.graph
+    return len(_bfs_from(g, g.s)) - 1 < q.limit
+
+
+def _scc_count(state) -> int:
+    return len(_tarjan_scc_sizes(state.graph))
+
+
+def _scc_more_than(state, q):
+    if q.k < 2:
+        raise DomainError("k must be at least 2")
+    return _scc_count(state) > q.k
+
+
+def _st_connected(state, q):
+    g = state.graph
+    return g.t in _bfs_from(g, g.s, _active_nodes(g))
+
+
+def _induced_connected(state, q):
+    nodes = set(state.graph.active)
+    return len(nodes) <= 1 or _bfs_from(state.graph, min(nodes), nodes) == nodes
+
+
+def _kaug_free_size(state, q):
+    g = state.graph
+    return (g.node_count - _kaug_free_mates(g, q.k).count(-1)) // 2
+
+
+def _union_is_universe(state, q):
+    masks = state._masks
+    union = 0
+    for i in state.scope:
+        union |= masks[i]
+    return union == (1 << state.sets.universe_size) - 1
+
+
+def _member(state, q):
+    if not (0 <= q.u < state.sets.universe_size):
+        raise DomainError(f"element {q.u} outside universe")
+    return q.u in state.sets.get(q.i)
+
+
+KINDS: dict[ProblemKind, KindSpec] = {
+    ProblemKind.ST_REACH: KindSpec(
+        StReachable, lambda st, q: st.graph.t in _bfs_from(st.graph, st.graph.s),
+        directed=True, terminals="st"),
+    ProblemKind.REACH_COUNT: KindSpec(
+        ReachCountLessThan, _reach_count, directed=True, terminals="s"),
+    ProblemKind.SC: KindSpec(
+        StronglyConnected,
+        lambda st, q: st.graph.node_count <= 1 or _scc_count(st) == 1, directed=True),
+    ProblemKind.SC2: KindSpec(
+        MoreThanTwoSccs, lambda st, q: _scc_count(st) > 2, directed=True),
+    ProblemKind.SCC_2_VS_K: KindSpec(SccCount2VsK, _scc_more_than, directed=True),
+    ProblemKind.MAX_SCC: KindSpec(
+        MaxSccSize, lambda st, q: max(_tarjan_scc_sizes(st.graph), default=0),
+        directed=True),
+    ProblemKind.ST_SET_REACH: KindSpec(
+        AllStReachable,
+        lambda st, q: all(st.graph.t_set <= _bfs_from(st.graph, s)
+                          for s in sorted(st.graph.s_set)),
+        directed=True, terminals="sets"),
+    ProblemKind.DIAMETER: KindSpec(
+        Diameter, lambda st, q: _all_pairs_diameter(st.graph), directed=False),
+    ProblemKind.ST_SUBCONN: KindSpec(
+        StConnected, _st_connected, directed=False, terminals="st",
+        families=("edge", "node")),
+    ProblemKind.CONN_SUB: KindSpec(
+        InducedConnected, _induced_connected, directed=False,
+        families=("edge", "node")),
+    ProblemKind.BPMATCH: KindSpec(
+        HasPerfectMatching, lambda st, q: -1 not in _kaug_free_mates(st.graph, None),
+        directed=False, weighted=False, bipartite=True),
+    ProblemKind.KBPM: KindSpec(
+        KAugFreeMatchingSize, _kaug_free_size, directed=False, weighted=False,
+        bipartite=True),
+    ProblemKind.BWMATCH: KindSpec(
+        MaxWeightPmWeight, lambda st, q: _max_weight_pm(st.graph),
+        directed=False, weighted=True, bipartite=True),
+    ProblemKind.ST_SP: KindSpec(
+        StDistance, lambda st, q: _dijkstra_st(st.graph), weighted=True,
+        terminals="st"),
+    ProblemKind.SUB_UNION: KindSpec(
+        UnionIsUniverse, _union_is_universe, SetSystem, families=("scope",)),
+    ProblemKind.PP: KindSpec(Member, _member, SetSystem, families=("set",)),
+    ProblemKind.EMPTY_PP: KindSpec(
+        IsEmpty, lambda st, q: len(st.sets.get(q.i)) == 0, SetSystem,
+        families=("set",)),
 }
+
 
 INSERT_TYPE = (InsertEdge, ActivateNode, AddToScope, InsertSet, IntersectSets)
 DELETE_TYPE = (DeleteEdge, DeactivateNode, RemoveFromScope)
@@ -133,6 +222,7 @@ class EngineState:
         self.scope: set[int] | None = None
         self.counters = CostCounters()
         self._apply = _DISPATCH[kind, mode]  # op type -> handler
+        self._answer_fn = KINDS[kind].answer
         self._undo: list[tuple] = []  # (callable, args) pairs
         self._live: dict[int, int] = {}  # live checkpoint serial -> depth
         self._serial = 0
@@ -168,9 +258,10 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
     kind = _as_kind(kind)
     mode = _as_mode(mode)
     state = EngineState(kind, mode)
-    if kind in GRAPH_KINDS:
-        if not isinstance(instance, Graph):
-            raise DomainError(f"{kind.value} expects a Graph instance")
+    expected = KINDS[kind].instance
+    if not isinstance(instance, expected):
+        raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
+    if expected is Graph:
         _check_graph_shape(kind, instance)
         if instance.node_count > limits.max_state_nodes():
             raise GuardError(f"{instance.node_count} nodes exceed the state cap")
@@ -179,8 +270,6 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
         if scope is not None:
             raise DomainError("scope applies only to set-system kinds")
     else:
-        if not isinstance(instance, SetSystem):
-            raise DomainError(f"{kind.value} expects a SetSystem instance")
         state.sets = instance.copy()
         state.counters.preprocess_units = (instance.universe_size
                                            + sum(len(s) for s in instance.sets))
@@ -197,35 +286,25 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
 
 
 def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
-    need_directed = {
-        ProblemKind.ST_REACH, ProblemKind.REACH_COUNT, ProblemKind.SC,
-        ProblemKind.SC2, ProblemKind.SCC_2_VS_K, ProblemKind.MAX_SCC,
-        ProblemKind.ST_SET_REACH,
-    }
-    need_undirected = {
-        ProblemKind.DIAMETER, ProblemKind.ST_SUBCONN, ProblemKind.CONN_SUB,
-        ProblemKind.BPMATCH, ProblemKind.KBPM, ProblemKind.BWMATCH,
-    }
-    if kind in need_directed and not g.directed:
-        raise DomainError(f"{kind.value} needs a directed graph")
-    if kind in need_undirected and g.directed:
-        raise DomainError(f"{kind.value} needs an undirected graph")
-    if kind in (ProblemKind.ST_REACH, ProblemKind.ST_SUBCONN, ProblemKind.ST_SP):
+    spec, name = KINDS[kind], kind.value
+    if spec.directed is not None and bool(g.directed) != spec.directed:
+        orientation = "a directed" if spec.directed else "an undirected"
+        raise DomainError(f"{name} needs {orientation} graph")
+    if spec.terminals == "st":
         if g.s is None or g.t is None:
-            raise DomainError(f"{kind.value} needs s and t")
+            raise DomainError(f"{name} needs s and t")
         if g.s == g.t:
-            raise DomainError(f"{kind.value} needs distinct s and t")
-    if kind is ProblemKind.REACH_COUNT and g.s is None:
-        raise DomainError("reach-count needs a source s")
-    if kind is ProblemKind.ST_SET_REACH and (g.s_set is None or g.t_set is None):
-        raise DomainError("st-set-reach needs s_set and t_set")
-    if kind in NODE_OP_KINDS and g.active is None:
-        raise DomainError(f"{kind.value} needs an active node set")
-    if kind in (ProblemKind.BWMATCH, ProblemKind.ST_SP) and not g.weighted:
-        raise DomainError(f"{kind.value} needs a weighted graph")
-    if kind in (ProblemKind.BPMATCH, ProblemKind.KBPM) and g.weighted:
-        raise DomainError(f"{kind.value} needs an unweighted graph")
-    if kind in (ProblemKind.BPMATCH, ProblemKind.KBPM, ProblemKind.BWMATCH):
+            raise DomainError(f"{name} needs distinct s and t")
+    elif spec.terminals == "s" and g.s is None:
+        raise DomainError(f"{name} needs a source s")
+    elif spec.terminals == "sets" and (g.s_set is None or g.t_set is None):
+        raise DomainError(f"{name} needs s_set and t_set")
+    if "node" in spec.families and g.active is None:
+        raise DomainError(f"{name} needs an active node set")
+    if spec.weighted is not None and bool(g.weighted) != spec.weighted:
+        weights = "a weighted" if spec.weighted else "an unweighted"
+        raise DomainError(f"{name} needs {weights} graph")
+    if spec.bipartite:
         _bipartition(g)  # raises DomainError if not bipartite
 
 
@@ -328,15 +407,13 @@ def _intersect_sets(state: EngineState, op: IntersectSets) -> int:
     return len(sets) - 1
 
 
-# Update families: their op types, the kinds that take them, and how a
-# rejection names them.
-_FAMILIES = (
-    ((InsertEdge, DeleteEdge), GRAPH_KINDS, "edge updates"),
-    ((ActivateNode, DeactivateNode), NODE_OP_KINDS, "node activation"),
-    ((AddToScope, RemoveFromScope), {ProblemKind.SUB_UNION}, "scope updates"),
-    ((InsertSet, IntersectSets), {ProblemKind.PP, ProblemKind.EMPTY_PP},
-     "set updates"),
-)
+# Update families: their op types and how a rejection names them.
+_FAMILIES = {
+    "edge": ((InsertEdge, DeleteEdge), "edge updates"),
+    "node": ((ActivateNode, DeactivateNode), "node activation"),
+    "scope": ((AddToScope, RemoveFromScope), "scope updates"),
+    "set": ((InsertSet, IntersectSets), "set updates"),
+}
 
 _HANDLERS = {
     InsertEdge: _ins_edge,
@@ -356,16 +433,16 @@ _ILLEGAL_IN = {Mode.FULL: (), Mode.INCREMENTAL: DELETE_TYPE,
 # the mode allows; every other op is rejected by the checks below.
 _DISPATCH = {
     (kind, mode): {t: _HANDLERS[t]
-                   for types, kinds, _ in _FAMILIES if kind in kinds
-                   for t in types if t not in _ILLEGAL_IN[mode]}
-    for kind in ProblemKind for mode in Mode
+                   for family in spec.families for t in _FAMILIES[family][0]
+                   if t not in _ILLEGAL_IN[mode]}
+    for kind, spec in KINDS.items() for mode in Mode
 }
 
 
 def _check_op_allowed(state: EngineState, op) -> None:
-    for types, kinds, name in _FAMILIES:
+    for family, (types, name) in _FAMILIES.items():
         if isinstance(op, types):
-            if state.kind not in kinds:
+            if family not in KINDS[state.kind].families:
                 raise DomainError(f"{name} not supported by {state.kind.value}")
             return
     raise DomainError(f"unknown update {op!r}")
@@ -695,74 +772,20 @@ def _max_weight_pm(g: Graph) -> int | None:
 # queries
 
 
-def engine_query(state: EngineState, q):
-    """Answer q; a query that raises is not counted."""
-    expected = QUERY_FOR_KIND[state.kind]
+def check_query(kind: ProblemKind, q) -> None:
+    """Raise DomainError unless q is the query type kind answers."""
+    expected = KINDS[kind].query
     if not isinstance(q, expected):
         raise DomainError(
-            f"{state.kind.value} answers {expected.__name__}, got {type(q).__name__}")
-    answer = _answer(state, q)
+            f"{kind.value} answers {expected.__name__}, got {type(q).__name__}")
+
+
+def engine_query(state: EngineState, q):
+    """Answer q; a query that raises is not counted."""
+    check_query(state.kind, q)
+    answer = state._answer_fn(state, q)
     state.counters.queries += 1
     return answer
-
-
-def _answer(state: EngineState, q):
-    g = state.graph
-    kind = state.kind
-
-    if kind is ProblemKind.ST_REACH:
-        return g.t in _bfs_from(g, g.s)
-    if kind is ProblemKind.REACH_COUNT:
-        if q.limit < 0:
-            raise DomainError("limit must be nonnegative")
-        return len(_bfs_from(g, g.s)) - 1 < q.limit
-    if kind is ProblemKind.SC:
-        return g.node_count <= 1 or len(_tarjan_scc_sizes(g)) == 1
-    if kind is ProblemKind.SC2:
-        return len(_tarjan_scc_sizes(g)) > 2
-    if kind is ProblemKind.SCC_2_VS_K:
-        if q.k < 2:
-            raise DomainError("k must be at least 2")
-        return len(_tarjan_scc_sizes(g)) > q.k
-    if kind is ProblemKind.MAX_SCC:
-        sizes = _tarjan_scc_sizes(g)
-        return max(sizes) if sizes else 0
-    if kind is ProblemKind.ST_SET_REACH:
-        for s in sorted(g.s_set):
-            if not g.t_set <= _bfs_from(g, s):
-                return False
-        return True
-    if kind is ProblemKind.DIAMETER:
-        return _all_pairs_diameter(g)
-    if kind is ProblemKind.ST_SUBCONN:
-        return g.t in _bfs_from(g, g.s, _active_nodes(g))
-    if kind is ProblemKind.CONN_SUB:
-        nodes = set(g.active)
-        if len(nodes) <= 1:
-            return True
-        start = min(nodes)
-        return _bfs_from(g, start, nodes) == nodes
-    if kind is ProblemKind.BPMATCH:
-        return -1 not in _kaug_free_mates(g, None)
-    if kind is ProblemKind.KBPM:
-        return (g.node_count - _kaug_free_mates(g, q.k).count(-1)) // 2
-    if kind is ProblemKind.BWMATCH:
-        return _max_weight_pm(g)
-    if kind is ProblemKind.ST_SP:
-        return _dijkstra_st(g)
-    if kind is ProblemKind.SUB_UNION:
-        masks = state._masks
-        union = 0
-        for i in state.scope:
-            union |= masks[i]
-        return union == (1 << state.sets.universe_size) - 1
-    if kind is ProblemKind.PP:
-        if not (0 <= q.u < state.sets.universe_size):
-            raise DomainError(f"element {q.u} outside universe")
-        return q.u in state.sets.get(q.i)
-    if kind is ProblemKind.EMPTY_PP:
-        return len(state.sets.get(q.i)) == 0
-    raise DomainError(f"unhandled kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +833,14 @@ class DirectEngine:
 
 def direct_factory(kind, mode, instance, *, scope=None) -> DirectEngine:
     return DirectEngine(kind, mode, instance, scope=scope)
+
+
+def innermost(handle):
+    """The engine at the bottom of a chain of wrappers (handle itself when
+    it wraps nothing)."""
+    while getattr(handle, "inner", None) is not None:
+        handle = handle.inner
+    return handle
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .engines import Mode, ProblemKind, _as_mode, direct_factory, inverse, run_stage
+from .engines import (
+    Mode,
+    ProblemKind,
+    _as_mode,
+    direct_factory,
+    innermost,
+    inverse,
+    run_stage,
+)
 from .model import (
     AddToScope,
     AllStReachable,
@@ -150,9 +158,7 @@ def build_fail_table(formula: CnfFormula, delta, *, blocks: int = 1) -> FailTabl
 
 
 def _engine_digest(handle):
-    while getattr(handle, "inner", None) is not None:
-        handle = handle.inner
-    st = handle.state
+    st = innermost(handle).state
     if st.graph is not None:
         return st.graph.digest()
     scope = tuple(sorted(st.scope)) if st.scope is not None else None

@@ -13,11 +13,11 @@ import random
 from fractions import Fraction
 
 from .engines import (
+    KINDS,
     Mode,
-    NODE_OP_KINDS,
     ProblemKind,
-    SET_KINDS,
     direct_factory,
+    innermost,
 )
 from .generators import random_cnf, random_graph, random_set_system
 from .model import (
@@ -35,10 +35,7 @@ from .model import (
     ReachCountLessThan,
     RemoveFromScope,
     SccCount2VsK,
-    StConnected,
-    StDistance,
-    StReachable,
-    UnionIsUniverse,
+    SetSystem,
 )
 from .minweight_reductions import (
     min_weight_triangle_via_bwm,
@@ -81,13 +78,7 @@ from .triangle_reductions import (
     triangle_via_streach_decremental,
     triangle_via_subconn,
 )
-from .wrappers import (
-    streach_via_bpm,
-    streach_via_sc,
-    stsp_via_bwm,
-    subconn_via_streach,
-    subunion_via_connsub,
-)
+from .wrappers import WRAPPERS, subunion_via_connsub
 
 SUITE_NAMES = ("seth", "triangle", "apsp", "threesum", "engines")
 
@@ -374,41 +365,38 @@ def random_engine_instance(kind: ProblemKind, rng: random.Random, max_n: int):
     needs: the left-part size for bipartite kinds, the initial scope for
     the covering kind.
     """
+    spec = KINDS[kind]
     n = rng.randint(2, max(2, max_n))
     aux: dict = {}
-    if kind in SET_KINDS:
+    if spec.instance is SetSystem:
         universe = rng.randint(1, max(1, max_n))
         nsets = rng.randint(1, 6)
         ss = random_set_system(rng, universe, nsets, rng.choice((0.2, 0.5)))
-        if kind is ProblemKind.SUB_UNION:
+        if "scope" in spec.families:
             aux["scope"] = set(
                 i for i in range(nsets) if rng.random() < 0.5)
         return ss, aux
 
-    directed = kind in (ProblemKind.ST_REACH, ProblemKind.REACH_COUNT,
-                        ProblemKind.SC, ProblemKind.SC2,
-                        ProblemKind.SCC_2_VS_K, ProblemKind.MAX_SCC,
-                        ProblemKind.ST_SET_REACH)
-    if kind is ProblemKind.ST_SP and rng.random() < 0.5:
-        directed = True
-    weighted = kind in (ProblemKind.BWMATCH, ProblemKind.ST_SP)
+    directed = spec.directed
+    if directed is None:
+        directed = rng.random() < 0.5
+    weighted = bool(spec.weighted)
     kw: dict = {}
-    if kind in (ProblemKind.ST_REACH, ProblemKind.ST_SUBCONN,
-                ProblemKind.ST_SP):
+    if spec.terminals == "st":
         kw["s"], kw["t"] = 0, n - 1
-    elif kind is ProblemKind.REACH_COUNT:
+    elif spec.terminals == "s":
         kw["s"] = rng.randrange(n)
-    elif kind is ProblemKind.ST_SET_REACH:
+    elif spec.terminals == "sets":
         nodes = list(range(n))
         rng.shuffle(nodes)
         cut = rng.randint(1, n - 1)
         kw["s_set"], kw["t_set"] = set(nodes[:cut]), set(nodes[cut:])
-    if kind in NODE_OP_KINDS:
+    if "node" in spec.families:
         kw["active"] = set(v for v in range(n) if rng.random() < 0.7)
-        if kind is ProblemKind.ST_SUBCONN:
+        if spec.terminals == "st":
             kw["active"] |= {0, n - 1}
 
-    if kind in (ProblemKind.BPMATCH, ProblemKind.KBPM, ProblemKind.BWMATCH):
+    if spec.bipartite:
         nl = rng.randint(1, n - 1)
         aux["nl"] = nl
         g = Graph(n, weighted=weighted, max_weight=10 if weighted else None)
@@ -427,8 +415,9 @@ def random_engine_instance(kind: ProblemKind, rng: random.Random, max_n: int):
 def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
                     allow=("insert", "delete")):
     """A random op legal for the engine's current state, or None."""
+    families = KINDS[kind].families
     options = []
-    if kind in SET_KINDS and kind is not ProblemKind.SUB_UNION:
+    if "set" in families:
         universe = state.sets.universe_size
         if "insert" in allow:
             members = sorted(x for x in range(universe)
@@ -438,7 +427,7 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
             options.append(IntersectSets(rng.randrange(count),
                                          rng.randrange(count)))
         return rng.choice(options) if options else None
-    if kind is ProblemKind.SUB_UNION:
+    if "scope" in families:
         count = len(state.sets)
         out = set(range(count)) - state.scope
         if "insert" in allow and out:
@@ -462,7 +451,7 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
             u, v = rng.choice(free)
             w = rng.randint(1, g.max_weight) if g.weighted else None
             options.append(InsertEdge(u, v, w))
-        if kind in NODE_OP_KINDS:
+        if "node" in families:
             # terminals stay active: the connectivity wrapper treats s and t
             # as permanently on, so traces never toggle them
             terminals = {g.s, g.t} - {None}
@@ -474,7 +463,7 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
         if edges:
             u, v = rng.choice(sorted(edges))
             options.append(DeleteEdge(u, v))
-        if kind in NODE_OP_KINDS:
+        if "node" in families:
             terminals = {g.s, g.t} - {None}
             togglable = sorted(g.active - terminals)
             if togglable:
@@ -483,20 +472,19 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
 
 
 def _random_query(kind: ProblemKind, state, rng: random.Random):
-    if kind is ProblemKind.REACH_COUNT:
+    query = KINDS[kind].query
+    if query is ReachCountLessThan:
         return ReachCountLessThan(rng.randint(0, state.graph.node_count + 1))
-    if kind is ProblemKind.SCC_2_VS_K:
+    if query is SccCount2VsK:
         return SccCount2VsK(rng.choice((2, 3, 4)))
-    if kind is ProblemKind.KBPM:
+    if query is KAugFreeMatchingSize:
         return KAugFreeMatchingSize(rng.choice((1, 3, 5, 17)))
-    if kind in (ProblemKind.PP, ProblemKind.EMPTY_PP):
+    if query in (Member, IsEmpty):
         i = rng.randrange(len(state.sets))
-        if kind is ProblemKind.PP:
+        if query is Member:
             return Member(i, rng.randrange(state.sets.universe_size))
         return IsEmpty(i)
-    from .engines import QUERY_FOR_KIND
-
-    return QUERY_FOR_KIND[kind]()
+    return query()
 
 
 def rollback_trace(kind: ProblemKind, rng: random.Random, max_n: int):
@@ -525,55 +513,23 @@ def rollback_trace(kind: ProblemKind, rng: random.Random, max_n: int):
     return ok, f"kind={kind.value} ops={applied}"
 
 
-_WRAPPER_NAMES = ("subconn-via-streach", "streach-via-bpm", "streach-via-sc",
-                  "stsp-via-bwm", "subunion-via-connsub")
-
-
-def _inner_nodes(wrapper) -> int:
-    handle = wrapper.inner
-    while getattr(handle, "inner", None) is not None:
-        handle = handle.inner
-    return handle.state.graph.node_count
-
-
 def wrapper_trace(name: str, rng: random.Random, max_n: int):
     """Drive a wrapper and a direct engine with one op trace; answers,
     counters, and the inner size budget must all agree."""
-    if name == "subconn-via-streach":
-        kind, factory = ProblemKind.ST_SUBCONN, subconn_via_streach()
-        query = StConnected()
-    elif name == "streach-via-bpm":
-        kind, factory = ProblemKind.ST_REACH, streach_via_bpm()
-        query = StReachable()
-    elif name == "streach-via-sc":
-        kind, factory = ProblemKind.ST_REACH, streach_via_sc()
-        query = StReachable()
-    elif name == "stsp-via-bwm":
-        kind, factory = ProblemKind.ST_SP, stsp_via_bwm()
-        query = StDistance()
-    elif name == "subunion-via-connsub":
-        kind, factory = ProblemKind.SUB_UNION, subunion_via_connsub()
-        query = UnionIsUniverse()
-    else:
+    cls = next((w for w in WRAPPERS if w.name == name), None)
+    if cls is None:
         raise ValueError(f"unknown wrapper {name!r}")
+    kind = cls.outer_kind
+    query = KINDS[kind].query()
 
     inst, aux = random_engine_instance(kind, rng, max_n)
     scope = aux.get("scope")
     direct = direct_factory(kind, Mode.FULL, inst, scope=scope)
-    wrapped = factory(kind, Mode.FULL, inst, scope=scope)
+    wrapped = cls(kind, Mode.FULL, inst, direct_factory, scope=scope)
 
-    if kind is ProblemKind.SUB_UNION:
-        n_u, k = inst.universe_size, len(inst)
-        size_ok = _inner_nodes(wrapped) == n_u + k + 1
-    else:
-        n = inst.node_count
-        expect = {"subconn-via-streach": 2 * n,
-                  "streach-via-bpm": 2 * n - 2,
-                  "streach-via-sc": n,
-                  "stsp-via-bwm": 2 * n - 2}[name]
-        size_ok = _inner_nodes(wrapped) == expect
-    if not size_ok:
-        return False, f"{name}: inner size {_inner_nodes(wrapped)}"
+    inner_nodes = innermost(wrapped).state.graph.node_count
+    if inner_nodes != cls.inner_nodes(inst):
+        return False, f"{name}: inner size {inner_nodes}"
 
     if wrapped.query(query) != direct.query(query):
         return False, f"{name}: initial answers differ"
@@ -611,9 +567,9 @@ def engines_trial(rng: random.Random, max_n: int):
     for kind in ProblemKind:
         ok, detail = rollback_trace(kind, rng, max_n)
         checks.append((f"rollback:{kind.value}", ok, detail))
-    for name in _WRAPPER_NAMES:
-        ok, detail = wrapper_trace(name, rng, max_n)
-        checks.append((f"wrapper:{name}", ok, detail))
+    for cls in WRAPPERS:
+        ok, detail = wrapper_trace(cls.name, rng, max_n)
+        checks.append((f"wrapper:{cls.name}", ok, detail))
     return checks
 
 

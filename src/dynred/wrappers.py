@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from .engines import (
+    KINDS,
     Mode,
     ProblemKind,
     _as_kind,
     _as_mode,
     check_mode_legality,
+    check_query,
     direct_factory,
 )
 from .model import (
@@ -40,18 +42,15 @@ from .model import (
     DeleteEdge,
     DomainError,
     Graph,
-    HasPerfectMatching,
-    InducedConnected,
     InsertEdge,
-    MaxWeightPmWeight,
     RemoveFromScope,
     SetSystem,
     StateError,
-    StConnected,
-    StDistance,
+    HasPerfectMatching,
+    InducedConnected,
+    MaxWeightPmWeight,
     StReachable,
     StronglyConnected,
-    UnionIsUniverse,
     check_edge_ids,
 )
 
@@ -63,17 +62,23 @@ class WrapperCheckpoint:
 
 
 class _WrapperBase:
-    """Common handle plumbing: legality, counting, checkpointing."""
+    """Common handle plumbing: legality, counting, checkpointing. A subclass
+    sets its name, the kind it serves, the query it asks its inner engine
+    and inner_nodes(instance), the node count of the inner instance."""
 
-    outer_kind: ProblemKind = None  # set by subclasses
-    query_type = None
+    name: str = None
+    outer_kind: ProblemKind = None
+    inner_query = None
+    inner_nodes = None
 
-    def __init__(self, kind, mode):
+    def __init__(self, kind, mode, scope=None):
         kind = _as_kind(kind)
         if kind is not self.outer_kind:
             raise DomainError(
                 f"{type(self).__name__} serves {self.outer_kind.value}, got {kind.value}")
         self.mode = _as_mode(mode)
+        if scope is not None and "scope" not in KINDS[kind].families:
+            raise DomainError("scope applies only to set-system kinds")
         self.kind = kind
         self.counters = CostCounters()
         self._outer_depth = 0
@@ -88,11 +93,8 @@ class _WrapperBase:
         return None
 
     def query(self, q):
-        if not isinstance(q, self.query_type):
-            raise DomainError(
-                f"{self.outer_kind.value} answers {self.query_type.__name__},"
-                f" got {type(q).__name__}")
-        answer = self._answer(q)
+        check_query(self.kind, q)
+        answer = self._interpret(self.inner.query(self.inner_query))
         self.counters.queries += 1
         return answer
 
@@ -107,8 +109,9 @@ class _WrapperBase:
     def _translate(self, op) -> list:
         raise NotImplementedError
 
-    def _answer(self, q):
-        raise NotImplementedError
+    def _interpret(self, inner_answer):
+        """The outer answer for the inner engine's answer."""
+        return inner_answer
 
 
 def _factory_maker(cls):
@@ -132,13 +135,13 @@ class SubconnViaStreach(_WrapperBase):
     (fan-out 1), an edge op is two arc ops (fan-out 2).
     """
 
+    name = "subconn-via-streach"
     outer_kind = ProblemKind.ST_SUBCONN
-    query_type = StConnected
+    inner_query = StReachable()
+    inner_nodes = staticmethod(lambda g: 2 * g.node_count)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode)
-        if scope is not None:
-            raise DomainError("scope applies only to set-system kinds")
+        super().__init__(kind, mode, scope)
         if instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs an undirected graph with s and t")
         if instance.active is None:
@@ -152,7 +155,7 @@ class SubconnViaStreach(_WrapperBase):
             h.add_edge(n + v, u)
         for v in sorted(always_on):
             h.add_edge(v, n + v)
-        if h.node_count != 2 * n:
+        if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
         if h.edge_count != 2 * instance.edge_count + len(always_on):
             raise ConstructionError("edge budget violated")
@@ -177,9 +180,6 @@ class SubconnViaStreach(_WrapperBase):
             check_edge_ids(op.u, op.v, n)
             return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
         raise DomainError(f"unsupported update {type(op).__name__}")
-
-    def _answer(self, q):
-        return self.inner.query(StReachable())
 
 
 subconn_via_streach = _factory_maker(SubconnViaStreach)
@@ -210,13 +210,13 @@ class StreachViaBpm(_WrapperBase):
     or out of t cannot lie on such a path and are suppressed (fan-out 0).
     """
 
+    name = "streach-via-bpm"
     outer_kind = ProblemKind.ST_REACH
-    query_type = StReachable
+    inner_query = HasPerfectMatching()
+    inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode)
-        if scope is not None:
-            raise DomainError("scope applies only to set-system kinds")
+        super().__init__(kind, mode, scope)
         if not instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs a directed graph with s and t")
         n = instance.node_count
@@ -235,7 +235,7 @@ class StreachViaBpm(_WrapperBase):
                 continue
             h.add_edge(self._out_id(u), self._in_id(v))
             mapped += 1
-        if h.node_count != 2 * n - 2:
+        if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
         if h.edge_count != pair_edges + mapped:
             raise ConstructionError("edge budget violated")
@@ -255,9 +255,6 @@ class StreachViaBpm(_WrapperBase):
             return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
-    def _answer(self, q):
-        return self.inner.query(HasPerfectMatching())
-
 
 streach_via_bpm = _factory_maker(StreachViaBpm)
 
@@ -276,13 +273,13 @@ class StspViaBwm(_WrapperBase):
     construction time.
     """
 
+    name = "stsp-via-bwm"
     outer_kind = ProblemKind.ST_SP
-    query_type = StDistance
+    inner_query = MaxWeightPmWeight()
+    inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode)
-        if scope is not None:
-            raise DomainError("scope applies only to set-system kinds")
+        super().__init__(kind, mode, scope)
         if not instance.weighted or instance.s is None or instance.t is None:
             raise DomainError("needs a weighted graph with s and t")
         if instance.max_weight is None:
@@ -301,7 +298,7 @@ class StspViaBwm(_WrapperBase):
         for u, v, w in instance.weighted_edges():
             for a, b in self._arc_pairs(u, v):
                 h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
-        if h.node_count != 2 * n - 2:
+        if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BWMATCH, self.mode, h)
@@ -330,11 +327,8 @@ class StspViaBwm(_WrapperBase):
                     for a, b in self._arc_pairs(op.u, op.v)]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
-    def _answer(self, q):
-        w = self.inner.query(MaxWeightPmWeight())
-        if w is None:
-            return None
-        return self._offset - w
+    def _interpret(self, w):
+        return None if w is None else self._offset - w
 
 
 _OFFSET_LAW: str | None = None
@@ -385,13 +379,13 @@ class StreachViaSc(_WrapperBase):
     such arcs cannot change s-to-t reachability.
     """
 
+    name = "streach-via-sc"
     outer_kind = ProblemKind.ST_REACH
-    query_type = StReachable
+    inner_query = StronglyConnected()
+    inner_nodes = staticmethod(lambda g: g.node_count)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode)
-        if scope is not None:
-            raise DomainError("scope applies only to set-system kinds")
+        super().__init__(kind, mode, scope)
         if not instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs a directed graph with s and t")
         n = instance.node_count
@@ -427,9 +421,6 @@ class StreachViaSc(_WrapperBase):
             return [cls(op.u, op.v)]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
-    def _answer(self, q):
-        return self.inner.query(StronglyConnected())
-
 
 streach_via_sc = _factory_maker(StreachViaSc)
 
@@ -447,11 +438,13 @@ class SubunionViaConnsub(_WrapperBase):
     connected exactly when every element is covered by some scoped set.
     """
 
+    name = "subunion-via-connsub"
     outer_kind = ProblemKind.SUB_UNION
-    query_type = UnionIsUniverse
+    inner_query = InducedConnected()
+    inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss.sets) + 1)
 
     def __init__(self, kind, mode, instance: SetSystem, inner_factory, *, scope=None):
-        super().__init__(kind, mode)
+        super().__init__(kind, mode, scope)
         if not isinstance(instance, SetSystem):
             raise DomainError("needs a SetSystem instance")
         n_u = instance.universe_size
@@ -470,7 +463,7 @@ class SubunionViaConnsub(_WrapperBase):
                 edges += 1
             g.add_edge(hub, n_u + i)
             edges += 1
-        if g.node_count != n_u + k + 1 or g.edge_count != edges:
+        if g.node_count != self.inner_nodes(instance) or g.edge_count != edges:
             raise ConstructionError("size budget violated")
         self.counters.preprocess_units = n_u + sum(len(x) for x in instance.sets)
         self._scoped = set(scope)
@@ -486,8 +479,9 @@ class SubunionViaConnsub(_WrapperBase):
             return [DeactivateNode(self._n_u + op.set_id)]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
-    def _answer(self, q):
-        return self.inner.query(InducedConnected())
-
 
 subunion_via_connsub = _factory_maker(SubunionViaConnsub)
+
+# every wrapper, in the order the engines suite of verify drives them
+WRAPPERS = (SubconnViaStreach, StreachViaBpm, StreachViaSc, StspViaBwm,
+            SubunionViaConnsub)

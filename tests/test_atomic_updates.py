@@ -13,8 +13,7 @@ import random
 import pytest
 
 from dynred.engines import (
-    NODE_OP_KINDS,
-    SET_KINDS,
+    KINDS,
     Mode,
     ProblemKind,
     direct_factory,
@@ -32,6 +31,7 @@ from dynred.model import (
     IntersectSets,
     ModeError,
     RemoveFromScope,
+    SetSystem,
     StateError,
 )
 from dynred.sat_reductions import _engine_digest
@@ -45,6 +45,9 @@ from dynred.wrappers import (
 )
 
 _ERRORS = (DomainError, StateError, ModeError, GuardError)
+
+SET_KINDS = {k for k, spec in KINDS.items() if spec.instance is SetSystem}
+NODE_OP_KINDS = {k for k, spec in KINDS.items() if "node" in spec.families}
 
 WRAPPERS = {
     "subconn-via-streach": (ProblemKind.ST_SUBCONN, subconn_via_streach()),

@@ -20,9 +20,7 @@ import sys
 from pathlib import Path
 
 from dynred.engines import (
-    GRAPH_KINDS,
-    NODE_OP_KINDS,
-    SET_KINDS,
+    KINDS,
     Checkpoint,
     Mode,
     ProblemKind,
@@ -47,6 +45,10 @@ from dynred.sat_reductions import _engine_digest
 from dynred.verify import random_engine_instance, random_valid_op
 
 OUTCOMES = Path(__file__).with_name("data") / "update_outcomes.json"
+
+SET_KINDS = {k for k, spec in KINDS.items() if spec.instance is SetSystem}
+GRAPH_KINDS = set(KINDS) - SET_KINDS
+NODE_OP_KINDS = {k for k, spec in KINDS.items() if "node" in spec.families}
 
 _DIRECTED = {ProblemKind.ST_REACH, ProblemKind.REACH_COUNT, ProblemKind.SC,
              ProblemKind.SC2, ProblemKind.SCC_2_VS_K, ProblemKind.MAX_SCC,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dynred import verify
+from dynred import verify, wrappers
 from dynred.engines import ProblemKind
 from dynred.verify import (
     SUITE_NAMES,
@@ -74,7 +74,7 @@ def test_rollback_trace_restores_digest(kind):
         assert ok, detail
 
 
-@pytest.mark.parametrize("name", verify._WRAPPER_NAMES)
+@pytest.mark.parametrize("name", [w.name for w in wrappers.WRAPPERS])
 def test_wrapper_trace_agrees(name):
     rng = random.Random(11)
     for _ in range(3):
