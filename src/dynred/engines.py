@@ -214,10 +214,10 @@ class Checkpoint:
 class EngineState:
     """Owned instance plus undo log, live checkpoints and cost counters."""
 
-    def __init__(self, kind: ProblemKind, mode: Mode):
+    def __init__(self, kind: ProblemKind, mode: Mode, graph: Graph | None = None):
         self.kind = kind
         self.mode = mode
-        self.graph: Graph | None = None
+        self.graph = graph
         self.sets: SetSystem | None = None
         self.scope: set[int] | None = None
         self.counters = CostCounters()
@@ -234,22 +234,21 @@ class EngineState:
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
 
 
-def _as_mode(mode) -> Mode:
-    if isinstance(mode, Mode):
-        return mode
+def _as_member(enum, value, what: str):
+    if isinstance(value, enum):
+        return value
     try:
-        return Mode(mode)
+        return enum(value)
     except ValueError:
-        raise DomainError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown {what} {value!r}")
+
+
+def _as_mode(mode) -> Mode:
+    return _as_member(Mode, mode, "mode")
 
 
 def _as_kind(kind) -> ProblemKind:
-    if isinstance(kind, ProblemKind):
-        return kind
-    try:
-        return ProblemKind(kind)
-    except ValueError:
-        raise DomainError(f"unknown problem kind {kind!r}")
+    return _as_member(ProblemKind, kind, "problem kind")
 
 
 def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
@@ -407,23 +406,15 @@ def _intersect_sets(state: EngineState, op: IntersectSets) -> int:
     return len(sets) - 1
 
 
-# Update families: their op types and how a rejection names them.
+# Update families: the handler of each op type, and how a rejection names them.
 _FAMILIES = {
-    "edge": ((InsertEdge, DeleteEdge), "edge updates"),
-    "node": ((ActivateNode, DeactivateNode), "node activation"),
-    "scope": ((AddToScope, RemoveFromScope), "scope updates"),
-    "set": ((InsertSet, IntersectSets), "set updates"),
-}
-
-_HANDLERS = {
-    InsertEdge: _ins_edge,
-    DeleteEdge: _del_edge,
-    ActivateNode: _activate,
-    DeactivateNode: _deactivate,
-    AddToScope: _scope_add,
-    RemoveFromScope: _scope_remove,
-    InsertSet: _insert_set,
-    IntersectSets: _intersect_sets,
+    "edge": ({InsertEdge: _ins_edge, DeleteEdge: _del_edge}, "edge updates"),
+    "node": ({ActivateNode: _activate, DeactivateNode: _deactivate},
+             "node activation"),
+    "scope": ({AddToScope: _scope_add, RemoveFromScope: _scope_remove},
+              "scope updates"),
+    "set": ({InsertSet: _insert_set, IntersectSets: _intersect_sets},
+            "set updates"),
 }
 
 _ILLEGAL_IN = {Mode.FULL: (), Mode.INCREMENTAL: DELETE_TYPE,
@@ -432,16 +423,17 @@ _ILLEGAL_IN = {Mode.FULL: (), Mode.INCREMENTAL: DELETE_TYPE,
 # (kind, mode) -> {op type: handler}, for the op types the kind takes and
 # the mode allows; every other op is rejected by the checks below.
 _DISPATCH = {
-    (kind, mode): {t: _HANDLERS[t]
-                   for family in spec.families for t in _FAMILIES[family][0]
+    (kind, mode): {t: handler
+                   for family in spec.families
+                   for t, handler in _FAMILIES[family][0].items()
                    if t not in _ILLEGAL_IN[mode]}
     for kind, spec in KINDS.items() for mode in Mode
 }
 
 
 def _check_op_allowed(state: EngineState, op) -> None:
-    for family, (types, name) in _FAMILIES.items():
-        if isinstance(op, types):
+    for family, (handlers, name) in _FAMILIES.items():
+        if isinstance(op, tuple(handlers)):
             if family not in KINDS[state.kind].families:
                 raise DomainError(f"{name} not supported by {state.kind.value}")
             return
@@ -450,10 +442,10 @@ def _check_op_allowed(state: EngineState, op) -> None:
 
 def check_mode_legality(mode: Mode, op) -> None:
     """Raise ModeError when op's type family is illegal in the given mode."""
-    if mode is Mode.DECREMENTAL and isinstance(op, INSERT_TYPE):
-        raise ModeError(f"{type(op).__name__} is insert-type, illegal in decremental mode")
-    if mode is Mode.INCREMENTAL and isinstance(op, DELETE_TYPE):
-        raise ModeError(f"{type(op).__name__} is delete-type, illegal in incremental mode")
+    if isinstance(op, _ILLEGAL_IN[mode]):
+        family = "insert" if mode is Mode.DECREMENTAL else "delete"
+        raise ModeError(f"{type(op).__name__} is {family}-type, illegal in "
+                        f"{mode.name.lower()} mode")
 
 
 def engine_update(state: EngineState, op) -> int | None:
@@ -584,6 +576,8 @@ def _all_pairs_diameter(g: Graph) -> int | None:
     n = g.node_count
     if n == 0:
         return None
+    if n * n > limits.MAX_DENSE_CELLS:
+        raise GuardError(f"{n} x {n} diameter matrix exceeds the dense-buffer cap")
     adj_sets, _ = g.adjacency()
     adj = np.zeros((n, n), dtype=np.float32)
     rows = np.repeat(np.arange(n), [len(a) for a in adj_sets])
@@ -744,6 +738,9 @@ def _max_weight_pm(g: Graph) -> int | None:
         return None
     if not left:
         return 0
+    if len(left) * len(right) > limits.MAX_DENSE_CELLS:
+        raise GuardError(f"{len(left)} x {len(right)} cost matrix exceeds the "
+                         "dense-buffer cap")
     _, weight = g.adjacency()
     m = len(weight)
     ends = np.fromiter(itertools.chain.from_iterable(weight), dtype=np.intp,

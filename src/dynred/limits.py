@@ -24,6 +24,10 @@ TRIPARTITE_MAX_SIDE = 512
 # set systems: total stored sets across one engine run
 MAX_SETS = 500_000
 
+# dense query buffers (the diameter's n x n matrix, the assignment solver's
+# left x right cost matrix): cells per buffer
+MAX_DENSE_CELLS = 4_000_000
+
 # built gadget graphs: node budget, overridable for bigger runs
 MAX_STATE_NODES = 5_000_000
 

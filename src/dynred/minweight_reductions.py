@@ -23,6 +23,7 @@ from .model import (
     InsertEdge,
     StDistance,
 )
+from .triangle_reductions import add_layer_arcs
 from .wrappers import stsp_via_bwm
 
 WEIGHT_BITS = 63  # distances are kept inside signed 64-bit range
@@ -44,11 +45,7 @@ def build_stsp_gadget(g: Graph, *, anchors: bool = True) -> Graph:
     cap = max(3 * n * m_bound, 3 * m_bound)
     h = Graph(4 * n + 2, directed=True, weighted=True, max_weight=cap,
               s=4 * n, t=4 * n + 1)
-    for u, v, w in g.weighted_edges():
-        for a, b in ((u, v), (v, u)):
-            h.add_edge(a, n + b, w + 2 * m_bound)
-            h.add_edge(n + a, 2 * n + b, w + 2 * m_bound)
-            h.add_edge(2 * n + a, 3 * n + b, w + 2 * m_bound)
+    add_layer_arcs(h, g, weight_offset=2 * m_bound)
     if anchors:
         for v in range(n):
             h.add_edge(4 * n, v, 3 * (v + 1) * m_bound)

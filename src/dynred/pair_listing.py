@@ -31,7 +31,7 @@ from .model import (
     StConnected,
     StReachable,
 )
-from .triangle_reductions import TreeLayout
+from .triangle_reductions import routing_tree_layout
 
 CAP_FACTOR = 2  # slack multiplier in the degree and pair-count caps
 
@@ -321,12 +321,8 @@ class DecrementalTraceAdapter(_BlockProbe):
         self._tree_leaves = leaves
         base = 2 * side + n_c
         s, t = base, base + 1
-        ids = iter(range(base + 2, base + 2 + 2 * (leaves - 2) + 2 * (leaves - side)))
-        s_nodes = [-1, s] + [next(ids) for _ in range(leaves - 2)]
-        s_nodes += list(range(side)) + [next(ids) for _ in range(leaves - side)]
-        t_nodes = [-1, t] + [next(ids) for _ in range(leaves - 2)]
-        t_nodes += list(range(side, 2 * side)) + [next(ids) for _ in range(leaves - side)]
-        self._layout = TreeLayout(leaves, tuple(s_nodes), tuple(t_nodes))
+        self._layout = routing_tree_layout(leaves, side, (s, t), (0, side), base + 2)
+        s_nodes, t_nodes = self._layout.s_nodes, self._layout.t_nodes
         h = Graph(base + 2 + 2 * (leaves - 2) + 2 * (leaves - side),
                   directed=True, s=s, t=t)
         for hh in range(1, leaves):

@@ -10,6 +10,7 @@ intersection and one query each.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -85,6 +86,21 @@ def _first_anchor(handle, mode: Mode, n: int, stage):
 # reachability gadgets
 
 
+def add_layer_arcs(h: Graph, g: Graph, layers=None,
+                   weight_offset: int | None = None) -> None:
+    """For each edge {u, v} of g, in both labelings (a, b), add to h the
+    edge (i + a, j + b) of each layer pair (i, j); by default the pairs
+    (0, n), (n, 2n), (2n, 3n) of a four-layer host. With weight_offset,
+    each edge weighs its source edge's weight plus the offset."""
+    n = g.node_count
+    layers = layers or ((0, n), (n, 2 * n), (2 * n, 3 * n))
+    for u, v, w in g.weighted_edges():
+        w = None if weight_offset is None else w + weight_offset
+        for a, b in ((u, v), (v, u)):
+            for i, j in layers:
+                h.add_edge(i + a, j + b, w)
+
+
 def build_streach_gadget(g: Graph) -> Graph:
     """Directed four-layer host with endpoints for per-vertex reach stages.
 
@@ -95,11 +111,7 @@ def build_streach_gadget(g: Graph) -> Graph:
     """
     n = g.node_count
     h = Graph(4 * n + 2, directed=True, s=4 * n, t=4 * n + 1)
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            h.add_edge(a, n + b)
-            h.add_edge(n + a, 2 * n + b)
-            h.add_edge(2 * n + a, 3 * n + b)
+    add_layer_arcs(h, g)
     return h
 
 
@@ -132,6 +144,28 @@ class TreeLayout:
     t_nodes: tuple[int, ...]
 
 
+def routing_tree_layout(leaves: int, real: int, roots: tuple[int, int],
+                        leaf_bases: tuple[int, int], first_id: int) -> TreeLayout:
+    """Node ids of two routing trees with `leaves` leaves each, `real` of
+    them vertex copies (copy j of a tree is its leaf base + j).
+
+    Each tree takes its root, then fresh ids from first_id on for its
+    internal nodes and then for its dummy leaves; the s-tree takes its ids
+    before the t-tree. A one-leaf tree is that leaf alone.
+    """
+    ids = itertools.count(first_id)
+
+    def tree(root: int, leaf_base: int) -> tuple[int, ...]:
+        if leaves == 1:
+            return (-1, leaf_base if real == 1 else next(ids))
+        internal = [-1, root] + [next(ids) for _ in range(leaves - 2)]
+        return tuple(internal + [leaf_base + j if j < real else next(ids)
+                                 for j in range(leaves)])
+
+    s_nodes = tree(roots[0], leaf_bases[0])
+    return TreeLayout(leaves, s_nodes, tree(roots[1], leaf_bases[1]))
+
+
 def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
     """Four-layer host plus two binary routing trees for deletions-only runs.
 
@@ -148,27 +182,9 @@ def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
     dummies = leaves - n
     base = 4 * n + 2
     h = Graph(base + 2 * (internal + dummies), directed=True, s=s, t=t)
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            h.add_edge(a, n + b)
-            h.add_edge(n + a, 2 * n + b)
-            h.add_edge(2 * n + a, 3 * n + b)
-
-    def layout(root, internal_base, leaf_base, dummy_base):
-        nodes = [-1] * (2 * leaves)
-        if leaves == 1:
-            nodes[1] = leaf_base if n == 1 else dummy_base
-            return tuple(nodes)
-        nodes[1] = root
-        for hh in range(2, leaves):
-            nodes[hh] = internal_base + hh - 2
-        for j in range(leaves):
-            nodes[leaves + j] = leaf_base + j if j < n else dummy_base + (j - n)
-        return tuple(nodes)
-
-    s_nodes = layout(s, base, 0, base + internal)
-    t_nodes = layout(t, base + internal + dummies, 3 * n,
-                     base + 2 * internal + dummies)
+    add_layer_arcs(h, g)
+    lay = routing_tree_layout(leaves, n, (s, t), (0, 3 * n), base)
+    s_nodes, t_nodes = lay.s_nodes, lay.t_nodes
     if leaves == 1:
         h.add_edge(s, s_nodes[1])
         h.add_edge(t_nodes[1], t)
@@ -177,7 +193,7 @@ def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
             for child in (2 * hh, 2 * hh + 1):
                 h.add_edge(s_nodes[hh], s_nodes[child])
                 h.add_edge(t_nodes[child], t_nodes[hh])
-    return h, TreeLayout(leaves, s_nodes, t_nodes)
+    return h, lay
 
 
 def triangle_via_streach_decremental(g: Graph, *, factory=direct_factory):
@@ -281,9 +297,7 @@ def build_5bpm_gadget(g: Graph, *, pair_edges: bool = True) -> Graph:
     """
     n = g.node_count
     h = Graph(4 * n)
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            h.add_edge(a, 2 * n + b)
+    add_layer_arcs(h, g, ((0, 2 * n),))
     if pair_edges:
         for v in range(n):
             h.add_edge(n + v, v)
@@ -330,11 +344,7 @@ def build_17bpm_gadget(g: Graph, *, anchor_pairs: bool = True) -> Graph:
     """
     n = g.node_count
     h = Graph(8 * n)
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            h.add_edge(n + a, 2 * n + b)
-            h.add_edge(3 * n + a, 4 * n + b)
-            h.add_edge(5 * n + a, 6 * n + b)
+    add_layer_arcs(h, g, ((n, 2 * n), (3 * n, 4 * n), (5 * n, 6 * n)))
     for v in range(n):
         h.add_edge(2 * n + v, 3 * n + v)
         h.add_edge(4 * n + v, 5 * n + v)

@@ -438,6 +438,9 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
 
     g = state.graph
     n = g.node_count
+    # terminals stay active: the connectivity wrapper treats s and t as
+    # permanently on, so traces never toggle them
+    terminals = {g.s, g.t} - {None}
     if "insert" in allow:
         nl = aux.get("nl")
         free = []
@@ -452,9 +455,6 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
             w = rng.randint(1, g.max_weight) if g.weighted else None
             options.append(InsertEdge(u, v, w))
         if "node" in families:
-            # terminals stay active: the connectivity wrapper treats s and t
-            # as permanently on, so traces never toggle them
-            terminals = {g.s, g.t} - {None}
             inactive = sorted(set(range(n)) - g.active - terminals)
             if inactive:
                 options.append(ActivateNode(rng.choice(inactive)))
@@ -464,7 +464,6 @@ def random_valid_op(kind: ProblemKind, state, rng: random.Random, aux: dict,
             u, v = rng.choice(sorted(edges))
             options.append(DeleteEdge(u, v))
         if "node" in families:
-            terminals = {g.s, g.t} - {None}
             togglable = sorted(g.active - terminals)
             if togglable:
                 options.append(DeactivateNode(rng.choice(togglable)))

@@ -10,8 +10,10 @@ the inner checkpoint together with the outer update depth so rollback_ops
 stay correct on both levels.
 
 Suppressed updates (fan-out zero) are ops that provably cannot change any
-answer of the outer problem; they are mode-checked and counted but forwarded
-nowhere, and their state is deliberately not tracked.
+answer of the outer problem; they are counted but forwarded nowhere. What
+they touch (arcs into s or out of t, the activation of s and t) lives in a
+shadow engine state, so they are checked, and undone by rollback, as a
+direct engine would check and undo them.
 
 An outer op's ids are checked against the outer instance before anything is
 forwarded, so an update that raises leaves the inner state untouched even
@@ -25,6 +27,7 @@ from functools import partial
 
 from .engines import (
     KINDS,
+    EngineState,
     Mode,
     ProblemKind,
     _as_kind,
@@ -32,6 +35,9 @@ from .engines import (
     check_mode_legality,
     check_query,
     direct_factory,
+    engine_checkpoint,
+    engine_rollback,
+    engine_update,
 )
 from .model import (
     ActivateNode,
@@ -42,13 +48,13 @@ from .model import (
     DeleteEdge,
     DomainError,
     Graph,
+    HasPerfectMatching,
+    InducedConnected,
     InsertEdge,
+    MaxWeightPmWeight,
     RemoveFromScope,
     SetSystem,
     StateError,
-    HasPerfectMatching,
-    InducedConnected,
-    MaxWeightPmWeight,
     StReachable,
     StronglyConnected,
     check_edge_ids,
@@ -59,6 +65,7 @@ from .model import (
 class WrapperCheckpoint:
     inner_cp: object
     outer_depth: int
+    shadow_cp: object = None
 
 
 class _WrapperBase:
@@ -66,10 +73,7 @@ class _WrapperBase:
     sets its name, the kind it serves, the query it asks its inner engine
     and inner_nodes(instance), the node count of the inner instance."""
 
-    name: str = None
-    outer_kind: ProblemKind = None
-    inner_query = None
-    inner_nodes = None
+    outer_kind: ProblemKind = None  # set by subclasses
 
     def __init__(self, kind, mode, scope=None):
         kind = _as_kind(kind)
@@ -83,6 +87,9 @@ class _WrapperBase:
         self.counters = CostCounters()
         self._outer_depth = 0
         self.inner = None  # subclasses attach after building the inner instance
+        # Subclasses that suppress ops set a full-mode engine state over the
+        # part of the outer instance they forward nowhere (no shape checks).
+        self._shadow: EngineState | None = None
 
     def update(self, op):
         check_mode_legality(self.mode, op)
@@ -99,19 +106,38 @@ class _WrapperBase:
         return answer
 
     def checkpoint(self) -> WrapperCheckpoint:
-        return WrapperCheckpoint(self.inner.checkpoint(), self._outer_depth)
+        shadow_cp = None if self._shadow is None else engine_checkpoint(self._shadow)
+        return WrapperCheckpoint(self.inner.checkpoint(), self._outer_depth, shadow_cp)
 
     def rollback(self, cp: WrapperCheckpoint) -> None:
         self.inner.rollback(cp.inner_cp)
+        if cp.shadow_cp is not None:
+            engine_rollback(self._shadow, cp.shadow_cp)
         self.counters.rollback_ops += self._outer_depth - cp.outer_depth
         self._outer_depth = cp.outer_depth
 
     def _translate(self, op) -> list:
         raise NotImplementedError
 
+    def _suppress(self, op) -> list:
+        """Apply an op of fan-out zero to the shadow state, which raises
+        where a direct engine would."""
+        engine_update(self._shadow, op)
+        return []
+
     def _interpret(self, inner_answer):
         """The outer answer for the inner engine's answer."""
         return inner_answer
+
+
+def _arcs_into_s_or_out_of_t(instance: Graph) -> Graph:
+    """The arcs of a directed instance that enter s or leave t."""
+    g = Graph(instance.node_count, directed=True, weighted=instance.weighted,
+              max_weight=instance.max_weight)
+    for u, v, w in instance.weighted_edges():
+        if v == instance.s or u == instance.t:
+            g.add_edge(u, v, w if instance.weighted else None)
+    return g
 
 
 def _factory_maker(cls):
@@ -160,18 +186,18 @@ class SubconnViaStreach(_WrapperBase):
         if h.edge_count != 2 * instance.edge_count + len(always_on):
             raise ConstructionError("edge budget violated")
         self._st = {instance.s, instance.t}
+        self._shadow = EngineState(self.outer_kind, Mode.FULL,
+                                   Graph(n, active=self._st & set(instance.active)))
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.ST_REACH, self.mode, h)
 
     def _translate(self, op):
         n = self._n
+        if isinstance(op, (ActivateNode, DeactivateNode)) and op.v in self._st:
+            return self._suppress(op)  # s and t are implicitly always on
         if isinstance(op, ActivateNode):
-            if op.v in self._st:
-                return []  # s and t are implicitly always on
             return [InsertEdge(op.v, n + op.v)]
         if isinstance(op, DeactivateNode):
-            if op.v in self._st:
-                return []
             return [DeleteEdge(op.v, n + op.v)]
         if isinstance(op, InsertEdge):
             check_edge_ids(op.u, op.v, n)
@@ -239,19 +265,19 @@ class StreachViaBpm(_WrapperBase):
             raise ConstructionError("node budget violated")
         if h.edge_count != pair_edges + mapped:
             raise ConstructionError("edge budget violated")
+        self._shadow = EngineState(self.outer_kind, Mode.FULL,
+                                   _arcs_into_s_or_out_of_t(instance))
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BPMATCH, self.mode, h)
 
     def _translate(self, op):
         if isinstance(op, (InsertEdge, DeleteEdge)):
             check_edge_ids(op.u, op.v, self._n)
-        if isinstance(op, InsertEdge):
             if op.u == self._t or op.v == self._s:
-                return []
+                return self._suppress(op)
+        if isinstance(op, InsertEdge):
             return [InsertEdge(self._out_id(op.u), self._in_id(op.v))]
         if isinstance(op, DeleteEdge):
-            if op.u == self._t or op.v == self._s:
-                return []
             return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
         raise DomainError(f"unsupported update {type(op).__name__}")
 
@@ -290,7 +316,8 @@ class StspViaBwm(_WrapperBase):
         self._n, self._s, self._t = n, s, t
         self._base = instance.max_weight + 1
         self._out_id, self._in_id = _split_ids(n, s, t)
-        self._offset = self._pick_offset(n)
+        law = _validated_offset_law()
+        self._offset = (n - 1 if law == "n-1" else n) * self._base
         h = Graph(2 * n - 2, weighted=True, max_weight=self._base)
         for v in range(n):
             if v != s and v != t:
@@ -300,6 +327,9 @@ class StspViaBwm(_WrapperBase):
                 h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
         if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
+        if self._directed:  # an undirected edge always keeps one of its arcs
+            self._shadow = EngineState(self.outer_kind, Mode.FULL,
+                                       _arcs_into_s_or_out_of_t(instance))
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BWMATCH, self.mode, h)
 
@@ -308,24 +338,22 @@ class StspViaBwm(_WrapperBase):
         arcs = [(u, v)] if self._directed else [(u, v), (v, u)]
         return [(a, b) for a, b in arcs if a != self._t and b != self._s]
 
-    def _pick_offset(self, n: int) -> int:
-        law = _validated_offset_law()
-        return (n - 1) * self._base if law == "n-1" else n * self._base
-
     def _translate(self, op):
-        if isinstance(op, (InsertEdge, DeleteEdge)):
-            check_edge_ids(op.u, op.v, self._n)
+        if not isinstance(op, (InsertEdge, DeleteEdge)):
+            raise DomainError(f"unsupported update {type(op).__name__}")
+        check_edge_ids(op.u, op.v, self._n)
         if isinstance(op, InsertEdge):
             if op.w is None:
                 raise DomainError("weighted update needs a weight")
             if not (1 <= op.w <= self._base - 1):
                 raise DomainError(f"weight {op.w} outside [1, {self._base - 1}]")
+        arcs = self._arc_pairs(op.u, op.v)
+        if not arcs:
+            return self._suppress(op)
+        if isinstance(op, InsertEdge):
             return [InsertEdge(self._out_id(a), self._in_id(b), self._base - op.w)
-                    for a, b in self._arc_pairs(op.u, op.v)]
-        if isinstance(op, DeleteEdge):
-            return [DeleteEdge(self._out_id(a), self._in_id(b))
-                    for a, b in self._arc_pairs(op.u, op.v)]
-        raise DomainError(f"unsupported update {type(op).__name__}")
+                    for a, b in arcs]
+        return [DeleteEdge(self._out_id(a), self._in_id(b)) for a, b in arcs]
 
     def _interpret(self, w):
         return None if w is None else self._offset - w
@@ -409,6 +437,8 @@ class StreachViaSc(_WrapperBase):
             mapped += 1
         if h.edge_count != permanent + mapped:
             raise ConstructionError("edge budget violated")
+        self._shadow = EngineState(self.outer_kind, Mode.FULL,
+                                   _arcs_into_s_or_out_of_t(instance))
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.SC, self.mode, h)
 
@@ -416,7 +446,8 @@ class StreachViaSc(_WrapperBase):
         if isinstance(op, (InsertEdge, DeleteEdge)):
             check_edge_ids(op.u, op.v, self._n)
             if op.v == self._s or op.u == self._t:
-                return []  # shadowed by a permanent arc or irrelevant to s -> t
+                # shadowed by a permanent arc or irrelevant to s -> t
+                return self._suppress(op)
             cls = InsertEdge if isinstance(op, InsertEdge) else DeleteEdge
             return [cls(op.u, op.v)]
         raise DomainError(f"unsupported update {type(op).__name__}")
