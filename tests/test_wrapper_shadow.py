@@ -26,6 +26,7 @@ from dynred.wrappers import (
     StreachViaBpm,
     StreachViaSc,
     StspViaBwm,
+    SubconnViaStreach,
 )
 
 
@@ -80,7 +81,7 @@ def test_terminal_toggles_checked_against_the_active_set():
     g = Graph(4, s=0, t=3, active={0, 1})
     g.add_edge(0, 1)
     direct = direct_factory(ProblemKind.ST_SUBCONN, Mode.FULL, g)
-    wrapped = WRAPPERS[0](ProblemKind.ST_SUBCONN, Mode.FULL, g, direct_factory)
+    wrapped = SubconnViaStreach(ProblemKind.ST_SUBCONN, Mode.FULL, g, direct_factory)
     for op in (ActivateNode(0), DeactivateNode(3), ActivateNode(3),
                ActivateNode(3), DeactivateNode(0), DeactivateNode(0)):
         assert _outcome(wrapped, op) == _outcome(direct, op), op
