@@ -11,6 +11,7 @@ error (unknown reduction name, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -255,6 +256,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynred",
                      description="dynamic-problem reductions over "

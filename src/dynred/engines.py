@@ -114,7 +114,7 @@ def _reach_count(state, q):
 
 
 def _scc_count(state) -> int:
-    return len(_tarjan_scc_sizes(state.graph))
+    return len(_scc_sizes(state.graph))
 
 
 def _scc_more_than(state, q):
@@ -165,7 +165,7 @@ KINDS: dict[ProblemKind, KindSpec] = {
         MoreThanTwoSccs, lambda st, q: _scc_count(st) > 2, directed=True),
     ProblemKind.SCC_2_VS_K: KindSpec(SccCount2VsK, _scc_more_than, directed=True),
     ProblemKind.MAX_SCC: KindSpec(
-        MaxSccSize, lambda st, q: max(_tarjan_scc_sizes(st.graph), default=0),
+        MaxSccSize, lambda st, q: max(_scc_sizes(st.graph), default=0),
         directed=True),
     ProblemKind.ST_SET_REACH: KindSpec(
         AllStReachable,
@@ -431,30 +431,28 @@ _DISPATCH = {
 }
 
 
-def _check_op_allowed(state: EngineState, op) -> None:
+def reject_update(kind: ProblemKind, mode: Mode, op) -> None:
+    """Raise the error for an op that kind does not take in mode (one not
+    in its _DISPATCH table): the family check comes before the mode check."""
     for family, (handlers, name) in _FAMILIES.items():
         if isinstance(op, tuple(handlers)):
-            if family not in KINDS[state.kind].families:
-                raise DomainError(f"{name} not supported by {state.kind.value}")
-            return
-    raise DomainError(f"unknown update {op!r}")
-
-
-def check_mode_legality(mode: Mode, op) -> None:
-    """Raise ModeError when op's type family is illegal in the given mode."""
+            if family not in KINDS[kind].families:
+                raise DomainError(f"{name} not supported by {kind.value}")
+            break
+    else:
+        raise DomainError(f"unknown update {op!r}")
     if isinstance(op, _ILLEGAL_IN[mode]):
         family = "insert" if mode is Mode.DECREMENTAL else "delete"
         raise ModeError(f"{type(op).__name__} is {family}-type, illegal in "
                         f"{mode.name.lower()} mode")
+    raise DomainError(f"unknown update {op!r}")  # a subclass of an op type
 
 
 def engine_update(state: EngineState, op) -> int | None:
     """Apply one update. Returns the fresh set id for InsertSet/IntersectSets."""
     handler = state._apply.get(type(op))
-    if handler is None:  # not in the table: the checks raise the usual error
-        _check_op_allowed(state, op)
-        check_mode_legality(state.mode, op)
-        raise DomainError(f"unknown update {op!r}")  # a subclass of an op type
+    if handler is None:  # not in the table
+        reject_update(state.kind, state.mode, op)
     result = handler(state, op)
     state.counters.updates += 1
     return result
@@ -569,6 +567,59 @@ def _tarjan_scc_sizes(g: Graph) -> list[int]:
                     if lu < low[p]:
                         low[p] = lu
     return sizes
+
+
+# SCC sizes on large graphs come from scipy's csgraph, which runs in C over
+# a CSR built from the graph's arc columns. Below SCC_CSGRAPH_MIN_EDGES
+# edges Tarjan is faster. Importing scipy.sparse.csgraph costs about what
+# Tarjan spends on SCC_IMPORT_BUDGET_EDGES edges, so the process first scans
+# that many edges with Tarjan, on graphs above the cutoff, and only then
+# pays the import (ski rental): a short run never imports it, and a long
+# one spends at most twice what the import costs before it breaks even.
+# The budget left is process-wide, as the import is. CHANGES.md records how
+# both constants were measured.
+SCC_CSGRAPH_MIN_EDGES = 1200
+SCC_IMPORT_BUDGET_EDGES = 5_000_000
+_scc_budget_left = SCC_IMPORT_BUDGET_EDGES
+
+
+def _scc_sizes(g: Graph) -> list[int]:
+    """Sizes of the strongly connected components, in no particular order."""
+    global _scc_budget_left
+    m = g.edge_count
+    if m < SCC_CSGRAPH_MIN_EDGES:
+        return _tarjan_scc_sizes(g)
+    if _scc_budget_left > 0:
+        _scc_budget_left -= m
+        return _tarjan_scc_sizes(g)
+    return _csgraph_scc_sizes(g)
+
+
+def _csgraph_scc_sizes(g: Graph) -> list[int]:
+    """_tarjan_scc_sizes through scipy's strong connected_components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.node_count
+    # copies: no view of the graph's columns outlives this call
+    src, dst = (np.array(col, dtype=np.intc) for col in g.arc_columns())
+    # Rows keep the order edges came in, except that a delete moves the last
+    # row into its place. On a graph built source by source, as every gadget
+    # is, the source column so stays mostly sorted, and timsort (the stable
+    # argsort of int32 keys) runs in about linear time on it. Past one
+    # descent per 64 rows it takes the stable argsort of 16-bit keys, a
+    # radix sort, which is linear whatever the order (and faster than
+    # timsort from about one descent per 40 rows).
+    if n <= 1 << 16 and 64 * np.count_nonzero(src[1:] < src[:-1]) > len(src):
+        order = np.argsort(src.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(src, kind="stable")
+    ids = np.arange(n + 1, dtype=np.intc)
+    indptr = np.searchsorted(src[order], ids).astype(np.intc)
+    # float64 data is what connected_components works on, so it copies nothing
+    graph = csr_matrix((np.ones(len(order)), dst[order], indptr), shape=(n, n))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    return np.bincount(labels).tolist()
 
 
 def _all_pairs_diameter(g: Graph) -> int | None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -121,6 +122,8 @@ class Graph:
         self.max_weight = max_weight if weighted else None
         self._adj: list[set[int]] = [set() for _ in range(node_count)]
         self._w: dict[tuple[int, int], int] = {}
+        # arc_columns(): (key -> row, sources, targets) once asked for
+        self._arcs: tuple[dict, array, array] | None = None
         self.edge_count = 0
         for name, v in (("s", s), ("t", t)):
             if v is not None and not (0 <= v < node_count):
@@ -160,6 +163,8 @@ class Graph:
         if not directed:
             self._adj[v].add(u)
         self.edge_count += 1
+        if self._arcs is not None:
+            self._arc_add(key)
 
     def remove_edge(self, u: int, v: int) -> int | None:
         check_edge_ids(u, v, self.node_count)
@@ -172,6 +177,8 @@ class Graph:
         if not directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
+        if self._arcs is not None:
+            self._arc_remove(key)
         return w if self.weighted else None
 
     # Unchecked edits for engine rollback: each restores an edge state the
@@ -179,19 +186,42 @@ class Graph:
 
     def _link(self, u: int, v: int, w: int | None) -> None:
         """Re-insert edge (u, v) with the weight remove_edge returned."""
-        self._w[(u, v) if self.directed or u <= v else (v, u)] = 0 if w is None else w
+        key = (u, v) if self.directed or u <= v else (v, u)
+        self._w[key] = 0 if w is None else w
         self._adj[u].add(v)
         if not self.directed:
             self._adj[v].add(u)
         self.edge_count += 1
+        if self._arcs is not None:
+            self._arc_add(key)
 
     def _unlink(self, u: int, v: int) -> None:
         """Remove edge (u, v), which add_edge inserted."""
-        del self._w[(u, v) if self.directed or u <= v else (v, u)]
+        key = (u, v) if self.directed or u <= v else (v, u)
+        del self._w[key]
         self._adj[u].discard(v)
         if not self.directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
+        if self._arcs is not None:
+            self._arc_remove(key)
+
+    def _arc_add(self, key: tuple[int, int]) -> None:
+        rows, src, dst = self._arcs
+        rows[key] = len(src)
+        src.append(key[0])
+        dst.append(key[1])
+
+    def _arc_remove(self, key: tuple[int, int]) -> None:
+        """Drop key's row; the last row moves into its place."""
+        rows, src, dst = self._arcs
+        i = rows.pop(key)
+        u = src.pop()
+        v = dst.pop()
+        if i < len(src):
+            src[i] = u
+            dst[i] = v
+            rows[u, v] = i
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v, self.directed) in self._w
@@ -222,6 +252,23 @@ class Graph:
         hold them across a mutation of the graph.
         """
         return self._adj, self._w
+
+    def arc_columns(self) -> tuple[array, array]:
+        """The edge keys as two int arrays (sources, targets), one row per
+        edge in no particular order; an arc per row on a directed graph.
+
+        The first call builds them, and from then on every edge update keeps
+        them, so later calls cost nothing; copy() does not carry them. They
+        are the graph's own: callers must not mutate them, and must release
+        any buffer view of them (a numpy frombuffer array) before the graph
+        changes, or the change raises BufferError.
+        """
+        if self._arcs is None:
+            keys = list(self._w)
+            self._arcs = ({key: i for i, key in enumerate(keys)},
+                          array("i", [u for u, _ in keys]),
+                          array("i", [v for _, v in keys]))
+        return self._arcs[1], self._arcs[2]
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._w.keys())

@@ -13,7 +13,10 @@ Suppressed updates (fan-out zero) are ops that provably cannot change any
 answer of the outer problem; they are counted but forwarded nowhere. What
 they touch (arcs into s or out of t, the activation of s and t) lives in a
 shadow engine state, so they are checked, and undone by rollback, as a
-direct engine would check and undo them.
+direct engine would check and undo them. An op's family and mode are
+checked first, in the order a direct engine checks them, and an insert's
+weight goes on to the inner engine, which rejects it as the direct engine
+would.
 
 An outer op's ids are checked against the outer instance before anything is
 forwarded, so an update that raises leaves the inner state untouched even
@@ -26,18 +29,19 @@ from dataclasses import dataclass
 from functools import partial
 
 from .engines import (
+    _DISPATCH,
     KINDS,
     EngineState,
     Mode,
     ProblemKind,
     _as_kind,
     _as_mode,
-    check_mode_legality,
     check_query,
     direct_factory,
     engine_checkpoint,
     engine_rollback,
     engine_update,
+    reject_update,
 )
 from .model import (
     ActivateNode,
@@ -52,7 +56,6 @@ from .model import (
     InducedConnected,
     InsertEdge,
     MaxWeightPmWeight,
-    RemoveFromScope,
     SetSystem,
     StateError,
     StReachable,
@@ -84,15 +87,18 @@ class _WrapperBase:
         if scope is not None and "scope" not in KINDS[kind].families:
             raise DomainError("scope applies only to set-system kinds")
         self.kind = kind
+        self._takes = _DISPATCH[kind, self.mode]  # op types a direct engine takes
         self.counters = CostCounters()
         self._outer_depth = 0
         self.inner = None  # subclasses attach after building the inner instance
         # Subclasses that suppress ops set a full-mode engine state over the
-        # part of the outer instance they forward nowhere (no shape checks).
+        # part of the outer instance they forward nowhere (no shape checks;
+        # StspViaBwm keeps all of it there).
         self._shadow: EngineState | None = None
 
     def update(self, op):
-        check_mode_legality(self.mode, op)
+        if type(op) not in self._takes:
+            reject_update(self.kind, self.mode, op)
         for inner_op in self._translate(op):
             self.inner.update(inner_op)
         self.counters.updates += 1
@@ -199,13 +205,10 @@ class SubconnViaStreach(_WrapperBase):
             return [InsertEdge(op.v, n + op.v)]
         if isinstance(op, DeactivateNode):
             return [DeleteEdge(op.v, n + op.v)]
+        check_edge_ids(op.u, op.v, n)
         if isinstance(op, InsertEdge):
-            check_edge_ids(op.u, op.v, n)
-            return [InsertEdge(n + op.u, op.v), InsertEdge(n + op.v, op.u)]
-        if isinstance(op, DeleteEdge):
-            check_edge_ids(op.u, op.v, n)
-            return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
-        raise DomainError(f"unsupported update {type(op).__name__}")
+            return [InsertEdge(n + op.u, op.v, op.w), InsertEdge(n + op.v, op.u, op.w)]
+        return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
 
 
 subconn_via_streach = _factory_maker(SubconnViaStreach)
@@ -271,15 +274,12 @@ class StreachViaBpm(_WrapperBase):
         self.inner = inner_factory(ProblemKind.BPMATCH, self.mode, h)
 
     def _translate(self, op):
-        if isinstance(op, (InsertEdge, DeleteEdge)):
-            check_edge_ids(op.u, op.v, self._n)
-            if op.u == self._t or op.v == self._s:
-                return self._suppress(op)
+        check_edge_ids(op.u, op.v, self._n)
+        if op.u == self._t or op.v == self._s:
+            return self._suppress(op)
         if isinstance(op, InsertEdge):
-            return [InsertEdge(self._out_id(op.u), self._in_id(op.v))]
-        if isinstance(op, DeleteEdge):
-            return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
-        raise DomainError(f"unsupported update {type(op).__name__}")
+            return [InsertEdge(self._out_id(op.u), self._in_id(op.v), op.w)]
+        return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
 
 
 streach_via_bpm = _factory_maker(StreachViaBpm)
@@ -313,7 +313,7 @@ class StspViaBwm(_WrapperBase):
         self._directed = instance.directed
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._n, self._s, self._t = n, s, t
+        self._s, self._t = s, t
         self._base = instance.max_weight + 1
         self._out_id, self._in_id = _split_ids(n, s, t)
         law = _validated_offset_law()
@@ -327,9 +327,10 @@ class StspViaBwm(_WrapperBase):
                 h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
         if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
-        if self._directed:  # an undirected edge always keeps one of its arcs
-            self._shadow = EngineState(self.outer_kind, Mode.FULL,
-                                       _arcs_into_s_or_out_of_t(instance))
+        # The shadow holds every outer edge: it checks presence before the
+        # weight range, as a direct engine does, and an inner weight B - w
+        # cannot tell a zero weight (B is a legal inner weight) from a bad one.
+        self._shadow = EngineState(self.outer_kind, Mode.FULL, instance.copy())
         self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BWMATCH, self.mode, h)
 
@@ -339,17 +340,8 @@ class StspViaBwm(_WrapperBase):
         return [(a, b) for a, b in arcs if a != self._t and b != self._s]
 
     def _translate(self, op):
-        if not isinstance(op, (InsertEdge, DeleteEdge)):
-            raise DomainError(f"unsupported update {type(op).__name__}")
-        check_edge_ids(op.u, op.v, self._n)
-        if isinstance(op, InsertEdge):
-            if op.w is None:
-                raise DomainError("weighted update needs a weight")
-            if not (1 <= op.w <= self._base - 1):
-                raise DomainError(f"weight {op.w} outside [1, {self._base - 1}]")
+        engine_update(self._shadow, op)  # checks every op, forwarded or not
         arcs = self._arc_pairs(op.u, op.v)
-        if not arcs:
-            return self._suppress(op)
         if isinstance(op, InsertEdge):
             return [InsertEdge(self._out_id(a), self._in_id(b), self._base - op.w)
                     for a, b in arcs]
@@ -443,14 +435,11 @@ class StreachViaSc(_WrapperBase):
         self.inner = inner_factory(ProblemKind.SC, self.mode, h)
 
     def _translate(self, op):
-        if isinstance(op, (InsertEdge, DeleteEdge)):
-            check_edge_ids(op.u, op.v, self._n)
-            if op.v == self._s or op.u == self._t:
-                # shadowed by a permanent arc or irrelevant to s -> t
-                return self._suppress(op)
-            cls = InsertEdge if isinstance(op, InsertEdge) else DeleteEdge
-            return [cls(op.u, op.v)]
-        raise DomainError(f"unsupported update {type(op).__name__}")
+        check_edge_ids(op.u, op.v, self._n)
+        if op.v == self._s or op.u == self._t:
+            # shadowed by a permanent arc or irrelevant to s -> t
+            return self._suppress(op)
+        return [op]  # same node ids inside
 
 
 streach_via_sc = _factory_maker(StreachViaSc)
@@ -501,14 +490,11 @@ class SubunionViaConnsub(_WrapperBase):
         self.inner = inner_factory(ProblemKind.CONN_SUB, self.mode, g)
 
     def _translate(self, op):
-        if isinstance(op, (AddToScope, RemoveFromScope)):
-            if not (0 <= op.set_id < self._k):
-                raise StateError(f"set id {op.set_id} out of range")
+        if not (0 <= op.set_id < self._k):
+            raise StateError(f"set id {op.set_id} out of range")
         if isinstance(op, AddToScope):
             return [ActivateNode(self._n_u + op.set_id)]
-        if isinstance(op, RemoveFromScope):
-            return [DeactivateNode(self._n_u + op.set_id)]
-        raise DomainError(f"unsupported update {type(op).__name__}")
+        return [DeactivateNode(self._n_u + op.set_id)]
 
 
 subunion_via_connsub = _factory_maker(SubunionViaConnsub)

@@ -196,3 +196,33 @@ def test_two_arc_fanout_rejects_bad_ids_before_forwarding(op):
     with pytest.raises(DomainError):
         handle.update(op)
     assert _snapshot(handle) == before
+
+
+def _outcome(handle, op):
+    try:
+        handle.update(op)
+    except _ERRORS as exc:  # the exception type is what is compared
+        return type(exc).__name__
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_wrapper_raises_what_the_direct_engine_raises(name):
+    """Same ops, same outcome: a wrapper and a direct engine of its outer
+    kind accept the same ops and raise the same exception types."""
+    kind, factory = WRAPPERS[name]
+    rng = random.Random(f"parity/{name}")
+    mismatched = []
+    for trial in range(200):
+        mode = rng.choice(list(Mode))
+        inst, aux = random_engine_instance(kind, rng, 7)
+        scope = aux.get("scope")
+        handle = factory(kind, mode, inst, scope=scope)
+        direct = direct_factory(kind, mode, inst, scope=scope)
+        for _ in range(30):
+            op = _next_op(kind, direct.state, rng, aux)
+            got, want = _outcome(handle, op), _outcome(direct, op)
+            if got != want:
+                mismatched.append((trial, mode.value, op, got, want))
+                break
+    assert mismatched == []

@@ -252,3 +252,22 @@ def test_internal_error_exits_3_with_traceback(capsys, tmp_path, monkeypatch):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert "ConstructionError: gadget broke its own invariant" in captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["run", "--help"], 0),
+    (["run", "--reduction", "nosuch", "--input", "x.cnf"], 64),
+    (["verify", "--trials", "many"], 64),
+])
+def test_parser_reused_across_calls_answers_alike(capsys, argv, code):
+    """The parser is built once per process; a second call must print the
+    same help or usage error and exit with the same code."""
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        seen.append((err.value.code, capsys.readouterr()))
+    assert seen[0][0] == seen[1][0] == code
+    assert seen[0][1] == seen[1][1]
+    assert (seen[0][1].out if code == 0 else seen[0][1].err).startswith("usage: dynred")
