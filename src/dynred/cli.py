@@ -161,14 +161,18 @@ def _resolve_pair_cap(inst, ctx):
     return cap
 
 
-def _run_pairs(inst, mode, ctx):
-    cap = _resolve_pair_cap(inst, ctx)
-    probe = (decremental_trace_adapter(inst) if mode == "dec"
-             else build_subconn_probe(inst))
-    pairs, c = list_pairs(inst, probe, delta=cap)
-    if pairs == OVERFLOW:
-        return OVERFLOW, c
-    return [list(p) for p in pairs], c
+def _listing_run(convert):
+    """The runner of a pair-listing reduction whose answer is
+    convert(inst, pairs), or OVERFLOW past the pair cap."""
+    def run(inst, mode, ctx):
+        cap = _resolve_pair_cap(inst, ctx)
+        probe = (decremental_trace_adapter(inst) if mode == "dec"
+                 else build_subconn_probe(inst))
+        pairs, c = list_pairs(inst, probe, delta=cap)
+        if pairs == OVERFLOW:
+            return OVERFLOW, c
+        return [list(p) for p in convert(inst, pairs)], c
+    return run
 
 
 def _pairs_agree(answer, expected, ctx):
@@ -180,16 +184,6 @@ def _pairs_agree(answer, expected, ctx):
 def _pairs_oracle(inst, ctx):
     ctx["brute_pairs"] = brute_force_pairs(inst)
     return [list(p) for p in ctx["brute_pairs"]]
-
-
-def _run_triangles(inst, mode, ctx):
-    cap = _resolve_pair_cap(inst, ctx)
-    probe = (decremental_trace_adapter(inst) if mode == "dec"
-             else build_subconn_probe(inst))
-    pairs, c = list_pairs(inst, probe, delta=cap)
-    if pairs == OVERFLOW:
-        return OVERFLOW, c
-    return [list(t) for t in pairs_to_triangles(inst, pairs)], c
 
 
 def _triangles_oracle(inst, ctx):
@@ -228,10 +222,11 @@ REDUCTIONS: dict[str, _Entry] = {
     "mwt-stsp": _mwt_entry(min_weight_triangle_via_stsp),
     "mwt-bwm": _mwt_entry(min_weight_triangle_via_bwm),
     "3sum-listpairs": _Entry("tripartite", ("full", "dec"), "full",
-                             _run_pairs, _pairs_oracle, _pairs_agree),
+                             _listing_run(lambda inst, pairs: pairs),
+                             _pairs_oracle, _pairs_agree),
     "3sum-triangles": _Entry("tripartite", ("full", "dec"), "full",
-                             _run_triangles, _triangles_oracle,
-                             _pairs_agree),
+                             _listing_run(pairs_to_triangles),
+                             _triangles_oracle, _pairs_agree),
 }
 
 _LOADERS = {

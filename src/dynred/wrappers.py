@@ -4,23 +4,21 @@ Each wrapper presents one problem kind while internally running an engine for
 a different kind. Updates are translated with constant fan-out and the inner
 engine can itself be a wrapper, so wrappers compose.
 
-A wrapper's own counters record the traffic it received (outer view); the
-cost actually spent inside is on `handle.inner.counters`. Checkpoints wrap
-the inner checkpoint together with the outer update depth so rollback_ops
-stay correct on both levels.
+Each wrapper keeps the outer instance in an engine state of the outer kind,
+built by engine_new after the wrapper's own instance checks. An outer op is
+applied to that state first, so it is checked, counted and undone exactly as
+a direct engine of the outer kind would do it, and only an accepted op is
+translated and forwarded. Every answer comes from the inner engine.
 
-Suppressed updates (fan-out zero) are ops that provably cannot change any
-answer of the outer problem; they are counted but forwarded nowhere. What
-they touch (arcs into s or out of t, the activation of s and t) lives in a
-shadow engine state, so they are checked, and undone by rollback, as a
-direct engine would check and undo them. An op's family and mode are
-checked first, in the order a direct engine checks them, and an insert's
-weight goes on to the inner engine, which rejects it as the direct engine
-would.
+A wrapper's counters are the outer state's, plus one query per answered
+query: the traffic it received. The cost spent inside is on
+`handle.inner.counters`. A checkpoint pairs the inner checkpoint with one of
+the outer state, and rollback unwinds both.
 
-An outer op's ids are checked against the outer instance before anything is
-forwarded, so an update that raises leaves the inner state untouched even
-when it fans out to two inner ops.
+Suppressed updates (fan-out zero) provably cannot change any outer answer;
+they change only the outer state. The hosts of the reachability and
+connectivity wrappers are unweighted, so an insert's weight, checked by the
+outer state, goes no further.
 """
 
 from __future__ import annotations
@@ -29,9 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .engines import (
-    _DISPATCH,
     KINDS,
-    EngineState,
     Mode,
     ProblemKind,
     _as_kind,
@@ -39,15 +35,15 @@ from .engines import (
     check_query,
     direct_factory,
     engine_checkpoint,
+    engine_new,
+    engine_query,
     engine_rollback,
     engine_update,
-    reject_update,
 )
 from .model import (
     ActivateNode,
     AddToScope,
     ConstructionError,
-    CostCounters,
     DeactivateNode,
     DeleteEdge,
     DomainError,
@@ -56,29 +52,29 @@ from .model import (
     InducedConnected,
     InsertEdge,
     MaxWeightPmWeight,
+    RemoveFromScope,
     SetSystem,
-    StateError,
     StReachable,
     StronglyConnected,
-    check_edge_ids,
 )
 
 
 @dataclass(frozen=True)
 class WrapperCheckpoint:
     inner_cp: object
-    outer_depth: int
-    shadow_cp: object = None
+    outer_cp: object
 
 
 class _WrapperBase:
     """Common handle plumbing: legality, counting, checkpointing. A subclass
     sets its name, the kind it serves, the query it asks its inner engine
-    and inner_nodes(instance), the node count of the inner instance."""
+    and inner_nodes(instance), the node count of the inner instance. It
+    calls _load after its own instance checks and before building its
+    inner engine."""
 
     outer_kind: ProblemKind = None  # set by subclasses
 
-    def __init__(self, kind, mode, scope=None):
+    def __init__(self, kind, mode, instance, scope=None):
         kind = _as_kind(kind)
         if kind is not self.outer_kind:
             raise DomainError(
@@ -86,24 +82,20 @@ class _WrapperBase:
         self.mode = _as_mode(mode)
         if scope is not None and "scope" not in KINDS[kind].families:
             raise DomainError("scope applies only to set-system kinds")
+        if KINDS[kind].instance is Graph and not isinstance(instance, Graph):
+            raise DomainError(f"{kind.value} expects a Graph instance")
         self.kind = kind
-        self._takes = _DISPATCH[kind, self.mode]  # op types a direct engine takes
-        self.counters = CostCounters()
-        self._outer_depth = 0
         self.inner = None  # subclasses attach after building the inner instance
-        # Subclasses that suppress ops set a full-mode engine state over the
-        # part of the outer instance they forward nowhere (no shape checks;
-        # StspViaBwm keeps all of it there).
-        self._shadow: EngineState | None = None
+
+    def _load(self, instance, scope=None) -> None:
+        """Keep the outer instance in an engine state of the outer kind."""
+        self._outer = engine_new(self.kind, self.mode, instance, scope=scope)
+        self.counters = self._outer.counters
 
     def update(self, op):
-        if type(op) not in self._takes:
-            reject_update(self.kind, self.mode, op)
+        engine_update(self._outer, op)
         for inner_op in self._translate(op):
             self.inner.update(inner_op)
-        self.counters.updates += 1
-        self._outer_depth += 1
-        return None
 
     def query(self, q):
         check_query(self.kind, q)
@@ -112,38 +104,20 @@ class _WrapperBase:
         return answer
 
     def checkpoint(self) -> WrapperCheckpoint:
-        shadow_cp = None if self._shadow is None else engine_checkpoint(self._shadow)
-        return WrapperCheckpoint(self.inner.checkpoint(), self._outer_depth, shadow_cp)
+        return WrapperCheckpoint(self.inner.checkpoint(),
+                                 engine_checkpoint(self._outer))
 
     def rollback(self, cp: WrapperCheckpoint) -> None:
         self.inner.rollback(cp.inner_cp)
-        if cp.shadow_cp is not None:
-            engine_rollback(self._shadow, cp.shadow_cp)
-        self.counters.rollback_ops += self._outer_depth - cp.outer_depth
-        self._outer_depth = cp.outer_depth
+        engine_rollback(self._outer, cp.outer_cp)
 
     def _translate(self, op) -> list:
+        """The inner ops for an outer op the outer state has accepted."""
         raise NotImplementedError
-
-    def _suppress(self, op) -> list:
-        """Apply an op of fan-out zero to the shadow state, which raises
-        where a direct engine would."""
-        engine_update(self._shadow, op)
-        return []
 
     def _interpret(self, inner_answer):
         """The outer answer for the inner engine's answer."""
         return inner_answer
-
-
-def _arcs_into_s_or_out_of_t(instance: Graph) -> Graph:
-    """The arcs of a directed instance that enter s or leave t."""
-    g = Graph(instance.node_count, directed=True, weighted=instance.weighted,
-              max_weight=instance.max_weight)
-    for u, v, w in instance.weighted_edges():
-        if v == instance.s or u == instance.t:
-            g.add_edge(u, v, w if instance.weighted else None)
-    return g
 
 
 def _factory_maker(cls):
@@ -173,11 +147,12 @@ class SubconnViaStreach(_WrapperBase):
     inner_nodes = staticmethod(lambda g: 2 * g.node_count)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, scope)
+        super().__init__(kind, mode, instance, scope)
         if instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs an undirected graph with s and t")
         if instance.active is None:
             raise DomainError("needs an active node set")
+        self._load(instance)
         n = instance.node_count
         self._n = n
         always_on = set(instance.active) | {instance.s, instance.t}
@@ -192,22 +167,18 @@ class SubconnViaStreach(_WrapperBase):
         if h.edge_count != 2 * instance.edge_count + len(always_on):
             raise ConstructionError("edge budget violated")
         self._st = {instance.s, instance.t}
-        self._shadow = EngineState(self.outer_kind, Mode.FULL,
-                                   Graph(n, active=self._st & set(instance.active)))
-        self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.ST_REACH, self.mode, h)
 
     def _translate(self, op):
         n = self._n
         if isinstance(op, (ActivateNode, DeactivateNode)) and op.v in self._st:
-            return self._suppress(op)  # s and t are implicitly always on
+            return []  # s and t are implicitly always on
         if isinstance(op, ActivateNode):
             return [InsertEdge(op.v, n + op.v)]
         if isinstance(op, DeactivateNode):
             return [DeleteEdge(op.v, n + op.v)]
-        check_edge_ids(op.u, op.v, n)
         if isinstance(op, InsertEdge):
-            return [InsertEdge(n + op.u, op.v, op.w), InsertEdge(n + op.v, op.u, op.w)]
+            return [InsertEdge(n + op.u, op.v), InsertEdge(n + op.v, op.u)]
         return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
 
 
@@ -245,12 +216,13 @@ class StreachViaBpm(_WrapperBase):
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, scope)
+        super().__init__(kind, mode, instance, scope)
         if not instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs a directed graph with s and t")
+        self._load(instance)
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._n, self._s, self._t = n, s, t
+        self._s, self._t = s, t
         self._out_id, self._in_id = _split_ids(n, s, t)
         h = Graph(2 * n - 2)
         pair_edges = 0
@@ -268,17 +240,13 @@ class StreachViaBpm(_WrapperBase):
             raise ConstructionError("node budget violated")
         if h.edge_count != pair_edges + mapped:
             raise ConstructionError("edge budget violated")
-        self._shadow = EngineState(self.outer_kind, Mode.FULL,
-                                   _arcs_into_s_or_out_of_t(instance))
-        self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BPMATCH, self.mode, h)
 
     def _translate(self, op):
-        check_edge_ids(op.u, op.v, self._n)
         if op.u == self._t or op.v == self._s:
-            return self._suppress(op)
+            return []
         if isinstance(op, InsertEdge):
-            return [InsertEdge(self._out_id(op.u), self._in_id(op.v), op.w)]
+            return [InsertEdge(self._out_id(op.u), self._in_id(op.v))]
         return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
 
 
@@ -305,11 +273,12 @@ class StspViaBwm(_WrapperBase):
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, scope)
+        super().__init__(kind, mode, instance, scope)
         if not instance.weighted or instance.s is None or instance.t is None:
             raise DomainError("needs a weighted graph with s and t")
         if instance.max_weight is None:
             raise DomainError("needs a declared max_weight")
+        self._load(instance)
         self._directed = instance.directed
         n = instance.node_count
         s, t = instance.s, instance.t
@@ -327,11 +296,6 @@ class StspViaBwm(_WrapperBase):
                 h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
         if h.node_count != self.inner_nodes(instance):
             raise ConstructionError("node budget violated")
-        # The shadow holds every outer edge: it checks presence before the
-        # weight range, as a direct engine does, and an inner weight B - w
-        # cannot tell a zero weight (B is a legal inner weight) from a bad one.
-        self._shadow = EngineState(self.outer_kind, Mode.FULL, instance.copy())
-        self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.BWMATCH, self.mode, h)
 
     def _arc_pairs(self, u, v):
@@ -340,7 +304,6 @@ class StspViaBwm(_WrapperBase):
         return [(a, b) for a, b in arcs if a != self._t and b != self._s]
 
     def _translate(self, op):
-        engine_update(self._shadow, op)  # checks every op, forwarded or not
         arcs = self._arc_pairs(op.u, op.v)
         if isinstance(op, InsertEdge):
             return [InsertEdge(self._out_id(a), self._in_id(b), self._base - op.w)
@@ -364,8 +327,6 @@ def _validated_offset_law() -> str:
     global _OFFSET_LAW
     if _OFFSET_LAW is not None:
         return _OFFSET_LAW
-    from .engines import engine_new, engine_query
-
     probe = Graph(4, weighted=True, max_weight=2)
     # nodes: s_out=0, a_out=1, a_in=2, t_in=3 with B = 2
     probe.add_edge(1, 2, 2)      # pair edge for a
@@ -405,12 +366,13 @@ class StreachViaSc(_WrapperBase):
     inner_nodes = staticmethod(lambda g: g.node_count)
 
     def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, scope)
+        super().__init__(kind, mode, instance, scope)
         if not instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs a directed graph with s and t")
+        self._load(instance)
         n = instance.node_count
         s, t = instance.s, instance.t
-        self._n, self._s, self._t = n, s, t
+        self._s, self._t = s, t
         h = Graph(n, directed=True)
         permanent = 0
         for v in range(n):
@@ -429,17 +391,12 @@ class StreachViaSc(_WrapperBase):
             mapped += 1
         if h.edge_count != permanent + mapped:
             raise ConstructionError("edge budget violated")
-        self._shadow = EngineState(self.outer_kind, Mode.FULL,
-                                   _arcs_into_s_or_out_of_t(instance))
-        self.counters.preprocess_units = instance.node_count + instance.edge_count
         self.inner = inner_factory(ProblemKind.SC, self.mode, h)
 
     def _translate(self, op):
-        check_edge_ids(op.u, op.v, self._n)
         if op.v == self._s or op.u == self._t:
-            # shadowed by a permanent arc or irrelevant to s -> t
-            return self._suppress(op)
-        return [op]  # same node ids inside
+            return []  # shadowed by a permanent arc or irrelevant to s -> t
+        return [type(op)(op.u, op.v)]  # same node ids inside
 
 
 streach_via_sc = _factory_maker(StreachViaSc)
@@ -464,18 +421,15 @@ class SubunionViaConnsub(_WrapperBase):
     inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss.sets) + 1)
 
     def __init__(self, kind, mode, instance: SetSystem, inner_factory, *, scope=None):
-        super().__init__(kind, mode, scope)
+        super().__init__(kind, mode, instance, scope)
         if not isinstance(instance, SetSystem):
             raise DomainError("needs a SetSystem instance")
+        self._load(instance, scope)  # range-checks the scope
         n_u = instance.universe_size
         k = len(instance.sets)
-        self._n_u, self._k = n_u, k
         hub = n_u + k
-        scope = set(scope) if scope is not None else set()
-        for i in scope:
-            instance.get(i)  # range check
-        g = Graph(n_u + k + 1,
-                  active=set(range(n_u)) | {hub} | {n_u + i for i in scope})
+        g = Graph(n_u + k + 1, active=set(range(n_u)) | {hub}
+                  | {n_u + i for i in self._outer.scope})
         edges = 0
         for i, members in enumerate(instance.sets):
             for u in sorted(members):
@@ -485,16 +439,13 @@ class SubunionViaConnsub(_WrapperBase):
             edges += 1
         if g.node_count != self.inner_nodes(instance) or g.edge_count != edges:
             raise ConstructionError("size budget violated")
-        self.counters.preprocess_units = n_u + sum(len(x) for x in instance.sets)
-        self._scoped = set(scope)
+        self._toggles = {  # inner ops built once per set, not once per update
+            AddToScope: [[ActivateNode(n_u + i)] for i in range(k)],
+            RemoveFromScope: [[DeactivateNode(n_u + i)] for i in range(k)]}
         self.inner = inner_factory(ProblemKind.CONN_SUB, self.mode, g)
 
     def _translate(self, op):
-        if not (0 <= op.set_id < self._k):
-            raise StateError(f"set id {op.set_id} out of range")
-        if isinstance(op, AddToScope):
-            return [ActivateNode(self._n_u + op.set_id)]
-        return [DeactivateNode(self._n_u + op.set_id)]
+        return self._toggles[type(op)][op.set_id]
 
 
 subunion_via_connsub = _factory_maker(SubunionViaConnsub)

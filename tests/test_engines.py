@@ -24,6 +24,7 @@ from dynred.engines import (
     inverse,
     run_stage,
 )
+from dynred.generators import random_bipartite
 from dynred.model import (
     ActivateNode,
     AddToScope,
@@ -533,6 +534,39 @@ def test_kbpm_rejects_even_k():
     st = engine_new(ProblemKind.KBPM, "full", g)
     with pytest.raises(DomainError):
         engine_query(st, KAugFreeMatchingSize(2))
+
+
+# The greedy KBPM matcher follows the iteration order of the adjacency sets,
+# which their insert/delete history sets. Until that order is canonical
+# (ROADMAP item 4), equal states can give different answers: on this graph
+# 66 pairs are matched on the original and 65 on the engine's copy.
+_KBPM_HISTORY = ("KBPM answers depend on the adjacency sets' history, "
+                 "not only on the state")
+
+
+def _kbpm_history_graph() -> Graph:
+    return random_bipartite(random.Random(200), 100, 100, 0.02)
+
+
+@pytest.mark.xfail(strict=True, reason=_KBPM_HISTORY)
+def test_kbpm_answer_same_on_an_engine_copy():
+    g = _kbpm_history_graph()
+    copy = engine_new(ProblemKind.KBPM, "full", g).graph
+    assert copy.digest() == g.digest()
+    assert (len(compute_kaug_free_matching(copy, 1))
+            == len(compute_kaug_free_matching(g, 1)))
+
+
+@pytest.mark.xfail(strict=True, reason=_KBPM_HISTORY)
+def test_kbpm_answer_same_after_rollback():
+    st = engine_new(ProblemKind.KBPM, "full", _kbpm_history_graph())
+    digest, before = st.graph.digest(), engine_query(st, KAugFreeMatchingSize(1))
+    cp = engine_checkpoint(st)
+    for u, v in list(st.graph.edges()):
+        engine_update(st, DeleteEdge(u, v))
+    engine_rollback(st, cp)
+    assert st.graph.digest() == digest
+    assert engine_query(st, KAugFreeMatchingSize(1)) == before
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,26 @@ def test_kind_outcomes_match_recorded_table():
         assert set(now[section]) == set(recorded[section])
 
 
+def _error_type(outcome: str) -> str | None:
+    return None if outcome.startswith("ok ") else outcome.split(":")[0]
+
+
+def test_wrappers_construct_exactly_when_their_outer_kind_does():
+    """A wrapper builds where engine_new of its outer kind builds, and
+    raises the same exception type where it raises."""
+    recorded = json.loads(OUTCOMES.read_text())
+    shapes = _shapes()
+    mismatched = []
+    for key in recorded["wrap"]:
+        name, label, sname = key.split()
+        kind, shape, scope = _WRAPPED_KIND[name], shapes[label], _SCOPES[sname]
+        wrapped = _error_type(_wrap(name, kind, shape, scope))
+        direct = _error_type(_construct(kind, shape, scope))
+        if wrapped != direct:
+            mismatched.append((key, wrapped, direct))
+    assert not mismatched, f"{len(mismatched)} rows differ: {mismatched[:3]}"
+
+
 def test_table_covers_every_kind_and_wrapper():
     recorded = json.loads(OUTCOMES.read_text())
     kinds = {key.split()[0] for key in recorded["construct"]}

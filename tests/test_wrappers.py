@@ -346,6 +346,35 @@ def test_subunion_empty_universe():
     assert direct.query(UnionIsUniverse()) == wrapped.query(UnionIsUniverse()) == True
 
 
+@pytest.mark.parametrize("make,kind", [
+    (streach_via_sc, ProblemKind.ST_REACH),
+    (streach_via_bpm, ProblemKind.ST_REACH),
+    (subconn_via_streach, ProblemKind.ST_SUBCONN),
+], ids=["streach-via-sc", "streach-via-bpm", "subconn-via-streach"])
+def test_unweighted_hosts_take_weighted_outer_instances(make, kind):
+    """These kinds take weighted graphs; an insert's weight is checked by
+    the outer state and never reaches the unweighted host."""
+    directed = kind is ProblemKind.ST_REACH
+    g = Graph(4, directed=directed, weighted=True, max_weight=5, s=0, t=2,
+              active=None if directed else {1, 3})
+    g.add_edge(0, 1, 1)
+    direct = direct_factory(kind, "full", g)
+    wrapped = make()(kind, "full", g)
+    query = StReachable() if directed else StConnected()
+    for op in (InsertEdge(1, 2, 3), InsertEdge(1, 3, 6), InsertEdge(1, 3),
+               InsertEdge(3, 2, 5), DeleteEdge(0, 1), InsertEdge(0, 1, 2)):
+        outcomes = []
+        for h in (direct, wrapped):
+            try:
+                h.update(op)
+                outcomes.append(None)
+            except DomainError:
+                outcomes.append(DomainError)
+        assert outcomes[0] == outcomes[1], op
+        assert wrapped.query(query) == direct.query(query), op
+    assert wrapped.counters.as_dict() == direct.counters.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # rollback and composition
 
@@ -382,3 +411,21 @@ def test_wrapper_composition():
             direct.update(op)
             deep.update(op)
             assert direct.query(StConnected()) == deep.query(StConnected())
+
+
+def test_wrapper_chain_builds_one_direct_engine(monkeypatch):
+    """Each wrapper keeps its outer instance in a bare engine state, so a
+    chain over direct_factory builds one DirectEngine, the innermost: the
+    only handle that holds engine state on its own."""
+    built = []
+    init = DirectEngine.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(DirectEngine, "__init__", counting_init)
+    g = build(4, [(0, 1), (1, 2), (2, 3)], s=0, t=3, active={1, 2})
+    h = subconn_via_streach(inner_factory=streach_via_bpm())(
+        ProblemKind.ST_SUBCONN, "full", g)
+    assert built == [h.inner.inner]
