@@ -914,24 +914,74 @@ def inverse(op):
     return undo(op)
 
 
-def run_stage(handle, ops, query, interpret=bool, *, rollback: bool,
+class Toggle:
+    """Stage ops that switch items of a gadget on or off, each item's built
+    once per run, when a stage first switches it.
+
+    Items start on when start_on is true, and a stage switches some of them
+    off; otherwise a stage switches some on. make(i) gives the ops that
+    switch item i (0 <= i < count) away from its start state. switch(items)
+    gives a stage's (ops, undo) for run_stage: the ops that switch the
+    items in the order given and, when undo is true, their inverses in
+    install order (otherwise None: restore by rollback).
+    """
+
+    def __init__(self, count: int, make, *, start_on: bool, undo: bool):
+        self._make, self._start_on, self._undo = make, start_on, undo
+        self._ops: list = [None] * count  # item -> the ops that switch it
+        self._back: list = [None] * count  # item -> their inverses, with undo
+
+    def _fill(self, i: int) -> tuple:
+        ops = self._ops[i] = tuple(self._make(i))
+        if self._undo:
+            self._back[i] = tuple(map(inverse, ops))
+        return ops
+
+    def switch(self, items) -> tuple[list, list | None]:
+        ops, fill = self._ops, self._fill
+        install = [op for i in items for op in (ops[i] or fill(i))]
+        return install, ([op for i in items for op in self._back[i]]
+                         if self._undo else None)
+
+    def keep_on(self, chosen) -> tuple[list, list | None]:
+        """switch() for the stage that leaves exactly the items in chosen on."""
+        return self._leave(chosen, True)
+
+    def keep_off(self, chosen) -> tuple[list, list | None]:
+        """switch() for the stage that leaves exactly the items in chosen off."""
+        return self._leave(chosen, False)
+
+    def _leave(self, chosen, on: bool):
+        if on != self._start_on:
+            return self.switch(sorted(chosen))
+        chosen = set(chosen)
+        return self.switch([i for i in range(len(self._ops)) if i not in chosen])
+
+    def add_to_host(self, g: Graph) -> None:
+        """With items that start on, add every item's edges to the host g."""
+        if self._start_on:
+            for op in self.switch(range(len(self._ops)))[0]:
+                g.add_edge(op.u, op.v)
+
+
+def run_stage(handle, ops, query, interpret=bool, *, undo=None,
               keep_hit: bool = False) -> bool:
     """One stage of a staged reduction: install ops, ask query, restore.
 
-    Returns interpret(answer). The state is restored by rolling back to a
-    checkpoint taken before the ops when rollback is true, and otherwise by
-    applying inverse(op) for each op in install order (the KBPM answer
+    Returns interpret(answer). With undo None the state is restored by
+    rolling back to a checkpoint taken before the ops; otherwise by
+    applying undo, the inverses of ops in install order (the KBPM answer
     depends on the history of the adjacency sets, so the order is fixed).
     With keep_hit, a stage whose interpreted answer is true stays installed.
     """
-    cp = handle.checkpoint() if rollback else None
+    cp = handle.checkpoint() if undo is None else None
     for op in ops:
         handle.update(op)
     hit = interpret(handle.query(query))
     if not (keep_hit and hit):
-        if rollback:
+        if undo is None:
             handle.rollback(cp)
         else:
-            for op in ops:
-                handle.update(inverse(op))
+            for op in undo:
+                handle.update(op)
     return hit

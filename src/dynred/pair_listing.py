@@ -18,7 +18,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .engines import Mode, ProblemKind, direct_factory, run_stage
+from .engines import Mode, ProblemKind, Toggle, direct_factory, run_stage
 from .limits import TRIPARTITE_MAX_SIDE
 from .model import (
     ActivateNode,
@@ -244,6 +244,8 @@ class SubconnProbe(_BlockProbe):
         if h.edge_count != len(inst.e_ac) + len(inst.e_bc) + 2 * side:
             raise ConstructionError("edge budget violated")
         self.eng = factory(ProblemKind.ST_SUBCONN, Mode.FULL, h)
+        self._copies = Toggle(2 * side, lambda v: (ActivateNode(v),),
+                              start_on=False, undo=False)
 
     def probe(self, a: int, i: int, j: int) -> bool:
         """Does a close a triangle with some B-neighbor in block (i, j)?
@@ -251,9 +253,9 @@ class SubconnProbe(_BlockProbe):
         With no such neighbor the probe costs one query and no updates."""
         members = self.block_members(a, i, j)
         side = self.inst.side
-        ops = ([ActivateNode(a)] + [ActivateNode(side + b) for b in members]
+        ops = (self._copies.switch([a] + [side + b for b in members])[0]
                if members else [])
-        return run_stage(self.eng, ops, StConnected(), rollback=True)
+        return run_stage(self.eng, ops, StConnected())
 
 
 def build_subconn_probe(inst: TripartiteInstance, factory=direct_factory) -> SubconnProbe:
@@ -319,6 +321,7 @@ class DecrementalTraceAdapter(_BlockProbe):
         side, n_c = inst.side, inst.n_c
         leaves = max(2, 1 << self.levels)
         self._tree_leaves = leaves
+        self._dummies_from = leaves + side  # heap slots of the dummy leaves
         base = 2 * side + n_c
         s, t = base, base + 1
         self._layout = routing_tree_layout(leaves, side, (s, t), (0, side), base + 2)
@@ -327,7 +330,7 @@ class DecrementalTraceAdapter(_BlockProbe):
                   directed=True, s=s, t=t)
         for hh in range(1, leaves):
             for child in (2 * hh, 2 * hh + 1):
-                if self._leaf_is_dummy(child):
+                if child >= self._dummies_from:
                     continue
                 h.add_edge(s_nodes[hh], s_nodes[child])
                 h.add_edge(t_nodes[child], t_nodes[hh])
@@ -336,45 +339,38 @@ class DecrementalTraceAdapter(_BlockProbe):
         for b, c in inst.e_bc:
             h.add_edge(2 * side + c, side + b)
         self.eng = streach_factory(ProblemKind.ST_REACH, Mode.DECREMENTAL, h)
+        # the deletion of the edge from each heap slot to its parent
+        self._s_cuts, self._t_cuts = (
+            Toggle(2 * leaves, make, start_on=True, undo=False) for make in (
+                lambda c: (DeleteEdge(s_nodes[c >> 1], s_nodes[c]),),
+                lambda c: (DeleteEdge(t_nodes[c], t_nodes[c >> 1]),)))
 
-    def _leaf_is_dummy(self, heap_index: int) -> bool:
-        return heap_index >= self._tree_leaves and (
-            heap_index - self._tree_leaves >= self.inst.side)
-
-    def _prune(self, nodes, kept_leaves, toward_root: bool) -> list[DeleteEdge]:
-        """The boundary edge deletions that cut every leaf outside kept_leaves."""
-        leaves = self._tree_leaves
-        kept = [False] * (2 * leaves)
+    def _prune(self, cuts: Toggle, kept_leaves) -> list[DeleteEdge]:
+        """The boundary edge deletions that cut every leaf outside kept_leaves:
+        the edges from the root and from the root paths of the kept leaves
+        to children off those paths, other than dummy leaves, by parent slot."""
+        leaves, end, path = self._tree_leaves, self._dummies_from, {1}
         for x in kept_leaves:
-            kept[leaves + x] = True
-        for hh in range(leaves - 1, 0, -1):
-            kept[hh] = kept[2 * hh] or kept[2 * hh + 1]
-        deletions = []
-        for hh in range(1, leaves):
-            if not kept[hh] and hh != 1:
-                continue
-            for child in (2 * hh, 2 * hh + 1):
-                if kept[child] or self._leaf_is_dummy(child):
-                    continue
-                if kept[hh] or hh == 1:
-                    u, v = ((nodes[child], nodes[hh]) if toward_root
-                            else (nodes[hh], nodes[child]))
-                    deletions.append(DeleteEdge(u, v))
-        return deletions
+            hh = leaves + x
+            while hh not in path:
+                path.add(hh)
+                hh >>= 1
+        return cuts.switch([c for hh in sorted(path) if hh < leaves
+                            for c in (2 * hh, 2 * hh + 1)
+                            if c not in path and c < end])[0]
 
     def probe(self, a: int, i: int, j: int) -> bool:
         members = self.block_members(a, i, j)
         if members:
-            ops = (self._prune(self._layout.s_nodes, {a}, toward_root=False)
-                   + self._prune(self._layout.t_nodes, set(members), toward_root=True))
+            ops = self._prune(self._s_cuts, (a,)) + self._prune(self._t_cuts, members)
         else:
             # no candidate partner: cutting s from its tree already forces no
-            ops = self._prune(self._layout.s_nodes, set(), toward_root=False)
+            ops = self._prune(self._s_cuts, ())
         log = max(1, self.levels)
         if len(ops) > 2 * len(members) * log + 2 * log:
             raise ConstructionError(
                 f"probe deleted {len(ops)} edges for {len(members)} members")
-        return run_stage(self.eng, ops, StReachable(), rollback=True)
+        return run_stage(self.eng, ops, StReachable())
 
 
 def decremental_trace_adapter(inst: TripartiteInstance,

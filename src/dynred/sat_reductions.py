@@ -23,6 +23,7 @@ from . import limits
 from .engines import (
     Mode,
     ProblemKind,
+    Toggle,
     _as_mode,
     direct_factory,
     innermost,
@@ -78,7 +79,10 @@ class FailTable:
         return bool(r & self._stage_pos[j]) or bool(self._stage_neg[j] & ~r)
 
     def unsat_indices(self, r: int) -> list[int]:
-        return [j for j in range(len(self._stage_pos)) if not self.stage_satisfies(j, r)]
+        """The clauses stage assignment r leaves unsatisfied, ascending."""
+        nr = ~r
+        return [j for j, (pos, neg) in enumerate(zip(self._stage_pos, self._stage_neg))
+                if not (r & pos or neg & nr)]
 
 
 def _block_fail_set(clause: list[int], lo: int, hi: int, bits: int) -> frozenset[int]:
@@ -165,17 +169,17 @@ def _engine_digest(handle):
     return (st.sets.digest(), scope)
 
 
-def _scan(handle, t: FailTable, mode: Mode, check_isolation: bool, stage):
+def _scan(handle, t: FailTable, check_isolation: bool, stage):
     """Run stages r = 0, 1, ... until one completes; return (answer, counters).
 
-    stage(r) gives stage r's (ops, query, interpret). Full mode restores each
-    stage by inverse updates, the other modes by rollback; a completing stage
-    is restored too. With check_isolation the engine state digest must be
-    back at its start value after every stage.
+    stage(r) gives stage r's (ops, undo, query, interpret) for run_stage; a
+    completing stage is restored too. With check_isolation the engine state
+    digest must be back at its start value after every stage.
     """
     base = _engine_digest(handle) if check_isolation else None
     for r in range(1 << t.stage_bits):
-        hit = run_stage(handle, *stage(r), rollback=mode is not Mode.FULL)
+        ops, undo, *rest = stage(r)
+        hit = run_stage(handle, ops, *rest, undo=undo)
         if check_isolation and _engine_digest(handle) != base:
             raise ConstructionError("stage was not isolated: state digest drifted")
         if hit:
@@ -183,34 +187,12 @@ def _scan(handle, t: FailTable, mode: Mode, check_isolation: bool, stage):
     return False, handle.counters
 
 
-class _Toggle:
-    """Builds stage ops that leave exactly a chosen set of items switched on.
-
-    make(i) gives the insert-type ops that switch item i (0 <= i < count)
-    on. A decremental engine starts with every item on (see start_on) and a
-    stage deletes the complement of the chosen set; the other modes start
-    with every item off and a stage inserts the chosen set. Items go in
-    ascending order. The ops are built once, not once per stage.
-    """
-
-    def __init__(self, mode: Mode, count: int, make):
-        self._dec = mode is Mode.DECREMENTAL
-        self._on = [tuple(make(i)) for i in range(count)]
-        self._ops = ([tuple(map(inverse, ops)) for ops in self._on]
-                     if self._dec else self._on)
-
-    def start_on(self, g: Graph) -> None:
-        """In decremental mode, add every item's arcs to the host graph g."""
-        if self._dec:
-            for ops in self._on:
-                for op in ops:
-                    g.add_edge(op.u, op.v)
-
-    def __call__(self, chosen) -> list:
-        if self._dec:
-            return [op for i, ops in enumerate(self._ops) if i not in chosen
-                    for op in ops]
-        return [op for i, ops in enumerate(self._ops) if i in chosen for op in ops]
+def _toggle(mode: Mode, count: int, make) -> Toggle:
+    """Items switched on by the insert-type ops make(i): on at the start of a
+    decremental run, off otherwise. Full mode restores by inverse updates."""
+    dec = mode is Mode.DECREMENTAL
+    return Toggle(count, (lambda i: map(inverse, make(i))) if dec else make,
+                  start_on=dec, undo=mode is Mode.FULL)
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +217,26 @@ def sat_via_ssr(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
         for phi in sorted(t.fail[0][j]):
             g.add_edge(a_count + j, phi)
 
-    arcs = _Toggle(mode, c_count, lambda j: (InsertEdge(src, a_count + j),))
-    arcs.start_on(g)
+    arcs = _toggle(mode, c_count, lambda j: (InsertEdge(src, a_count + j),))
+    arcs.add_to_host(g)
     handle = factory(ProblemKind.REACH_COUNT, mode, g)
 
     def stage(r):
-        unsat = set(t.unsat_indices(r))
-        return arcs(unsat), ReachCountLessThan(a_count + len(unsat)), bool
+        unsat = t.unsat_indices(r)
+        return *arcs.keep_on(unsat), ReachCountLessThan(a_count + len(unsat)), bool
 
-    return _scan(handle, t, mode, check_isolation, stage)
-
-
-def _kept_clauses(t: FailTable) -> list[int]:
-    """Clauses that some block assignment fails. The others hold complementary
-    literals inside the block, are satisfied by every block assignment, and
-    would show up as stray components, so the SCC-shaped routines drop them."""
-    return [j for j, f in enumerate(t.fail[0]) if f]
+    return _scan(handle, t, check_isolation, stage)
 
 
-def _cycle_host(t: FailTable, kept: list[int], clones: int, collectors: int):
+def _kept_clauses(t: FailTable) -> dict[int, int]:
+    """Clauses that some block assignment fails, each mapped to its position
+    among them. The others hold complementary literals inside the block, are
+    satisfied by every block assignment, and would show up as stray
+    components, so the SCC-shaped routines drop them."""
+    return {j: pos for pos, j in enumerate(j for j, f in enumerate(t.fail[0]) if f)}
+
+
+def _cycle_host(t: FailTable, kept: dict[int, int], clones: int, collectors: int):
     """Host graph of the SCC-shaped routines; returns (g, clause_base, s).
 
     Node layout: `clones` copies of the assignment nodes (copy c of phi at
@@ -276,8 +259,8 @@ def _cycle_host(t: FailTable, kept: list[int], clones: int, collectors: int):
     return g, clause_base, s
 
 
-def _unsat_positions(t: FailTable, kept: list[int], r: int) -> set[int]:
-    return {pos for pos, j in enumerate(kept) if not t.stage_satisfies(j, r)}
+def _unsat_positions(t: FailTable, kept: dict[int, int], r: int) -> list[int]:
+    return [kept[j] for j in t.unsat_indices(r) if j in kept]
 
 
 def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
@@ -294,20 +277,24 @@ def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
     t = build_fail_table(formula, delta)
     kept = _kept_clauses(t)
     g, clause_base, s = _cycle_host(t, kept, clones, 2)
-    s2 = s + 1
-    cycles = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
-    pairs = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s2, clause_base + pos),
-                                                  InsertEdge(clause_base + pos, s2)))
-    cycles.start_on(g)
-    pairs.start_on(g)
+    s2, k = s + 1, len(kept)
+
+    def arcs(i):  # item i < k: the cycle arc of position i; else the pair of i - k
+        if i < k:
+            return (InsertEdge(s, clause_base + i),)
+        return InsertEdge(s2, clause_base + i - k), InsertEdge(clause_base + i - k, s2)
+
+    toggle = _toggle(mode, 2 * k, arcs)
+    toggle.add_to_host(g)
     handle = factory(kind, mode, g)
 
     def stage(r):
         unsat = _unsat_positions(t, kept, r)
-        sat = set(range(len(kept))) - unsat
-        return cycles(unsat) + pairs(sat), query, bool
+        on = set(unsat)
+        items = unsat + [k + p for p in range(k) if p not in on]
+        return *toggle.keep_on(items), query, bool
 
-    return _scan(handle, t, mode, check_isolation, stage)
+    return _scan(handle, t, check_isolation, stage)
 
 
 def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
@@ -338,16 +325,16 @@ def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     t = build_fail_table(formula, delta)
     kept = _kept_clauses(t)
     g, clause_base, s = _cycle_host(t, kept, 1, 1)
-    cycles = _Toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
-    cycles.start_on(g)
+    cycles = _toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
+    cycles.add_to_host(g)
     handle = factory(ProblemKind.MAX_SCC, mode, g)
 
     def stage(r):
         unsat = _unsat_positions(t, kept, r)
         cap = len(unsat) + t.assign_count
-        return cycles(unsat), MaxSccSize(), lambda size: size <= cap
+        return *cycles.keep_on(unsat), MaxSccSize(), lambda size: size <= cap
 
-    return _scan(handle, t, mode, check_isolation, stage)
+    return _scan(handle, t, check_isolation, stage)
 
 
 def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
@@ -378,7 +365,7 @@ def _two_block_host(t: FailTable, mode: Mode, extra: int = 0, **graph_kw):
     right assignments [a + 2c, 2a + 2c), then `extra` nodes for the caller.
     Left assignments link to the clauses they fail and mirrored clauses to
     the right assignments failing them. Bridge j links clause j to its
-    mirror; `bridges` is their _Toggle, and a decremental run starts with
+    mirror; `bridges` is their Toggle, and a decremental run starts with
     every bridge in place.
     """
     a_count, c_count = t.assign_count, len(t.fail[0])
@@ -389,8 +376,8 @@ def _two_block_host(t: FailTable, mode: Mode, extra: int = 0, **graph_kw):
             g.add_edge(phi, left_c + j)
         for psi in sorted(t.fail[1][j]):
             g.add_edge(right_c + j, right_a + psi)
-    bridges = _Toggle(mode, c_count, lambda j: (InsertEdge(left_c + j, right_c + j),))
-    bridges.start_on(g)
+    bridges = _toggle(mode, c_count, lambda j: (InsertEdge(left_c + j, right_c + j),))
+    bridges.add_to_host(g)
     return g, bridges
 
 
@@ -412,8 +399,8 @@ def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
         t, mode, directed=True, s_set=frozenset(range(a_count)),
         t_set=frozenset(range(right_a, right_a + a_count)))
     handle = factory(ProblemKind.ST_SET_REACH, mode, g)
-    return _scan(handle, t, mode, check_isolation, lambda r: (
-        bridges(set(t.unsat_indices(r))), AllStReachable(), operator.not_))
+    return _scan(handle, t, check_isolation, lambda r: (
+        *bridges.keep_on(t.unsat_indices(r)), AllStReachable(), operator.not_))
 
 
 def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
@@ -455,8 +442,8 @@ def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
             raise ConstructionError(f"diameter {d} outside the promised gap")
         return d == 4
 
-    return _scan(handle, t, mode, check_isolation, lambda r: (
-        bridges(set(t.unsat_indices(r))), Diameter(), interpret))
+    return _scan(handle, t, check_isolation, lambda r: (
+        *bridges.keep_on(t.unsat_indices(r)), Diameter(), interpret))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +464,9 @@ def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     ss = SetSystem(t.assign_count, [sorted(f) for f in t.fail[0]])
     scope = set(range(c_count)) if mode is Mode.DECREMENTAL else None
     handle = factory(ProblemKind.SUB_UNION, mode, ss, scope=scope)
-    scoped = _Toggle(mode, c_count, lambda j: (AddToScope(j),))
-    return _scan(handle, t, mode, check_isolation, lambda r: (
-        scoped(set(t.unsat_indices(r))), UnionIsUniverse(), operator.not_))
+    scoped = _toggle(mode, c_count, lambda j: (AddToScope(j),))
+    return _scan(handle, t, check_isolation, lambda r: (
+        *scoped.keep_on(t.unsat_indices(r)), UnionIsUniverse(), operator.not_))
 
 
 def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engines import Mode, ProblemKind, _as_mode, direct_factory, run_stage
+from .engines import Mode, ProblemKind, Toggle, _as_mode, direct_factory, run_stage
 from .model import (
     ActivateNode,
     ConstructionError,
@@ -67,17 +67,16 @@ def _require_undirected(g: Graph) -> None:
         raise DomainError("triangle reductions take undirected graphs")
 
 
-def _first_anchor(handle, mode: Mode, n: int, stage):
+def _first_anchor(handle, n: int, stage):
     """Run anchor stages x = 0, 1, ..., n - 1; return (first hit or None, counters).
 
-    stage(x) gives stage x's (ops, query[, interpret]). A missed stage is
-    restored (inverse updates in full mode, rollback otherwise); a hit
-    returns at once with the gadget left specialized, so the counters are
-    honest for the partial run.
+    stage(x) gives stage x's (ops, undo, query[, interpret]) for run_stage.
+    A missed stage is restored; a hit returns at once with the gadget left
+    specialized, so the counters are honest for the partial run.
     """
     for x in range(n):
-        if run_stage(handle, *stage(x), rollback=mode is not Mode.FULL,
-                     keep_hit=True):
+        ops, undo, *rest = stage(x)
+        if run_stage(handle, ops, *rest, undo=undo, keep_hit=True):
             return x, handle.counters
     return None, handle.counters
 
@@ -126,8 +125,9 @@ def triangle_via_streach(g: Graph, *, mode="full", factory=direct_factory):
     h = build_streach_gadget(g)
     handle = factory(ProblemKind.ST_REACH, mode, h)
     s, t = 4 * n, 4 * n + 1
-    return _first_anchor(handle, mode, n, lambda x: (
-        [InsertEdge(s, x), InsertEdge(3 * n + x, t)], StReachable()))
+    ends = Toggle(n, lambda x: (InsertEdge(s, x), InsertEdge(3 * n + x, t)),
+                  start_on=False, undo=mode is Mode.FULL)
+    return _first_anchor(handle, n, lambda x: (*ends.switch((x,)), StReachable()))
 
 
 @dataclass(frozen=True)
@@ -269,18 +269,11 @@ def triangle_via_subconn(g: Graph, *, mode="full", factory=direct_factory):
     n = g.node_count
     h = build_subconn_gadget(g, start_active=(mode is Mode.DECREMENTAL))
     handle = factory(ProblemKind.ST_SUBCONN, mode, h)
-
-    def stage(x):
-        nbr_set = g.out_neighbors(x)
-        if mode is Mode.DECREMENTAL:
-            ops = [op for v in range(n) if v not in nbr_set
-                   for op in (DeactivateNode(v), DeactivateNode(n + v))]
-        else:
-            ops = [op for v in sorted(nbr_set)
-                   for op in (ActivateNode(v), ActivateNode(n + v))]
-        return ops, StConnected()
-
-    return _first_anchor(handle, mode, n, stage)
+    op = DeactivateNode if mode is Mode.DECREMENTAL else ActivateNode
+    copies = Toggle(n, lambda v: (op(v), op(n + v)), start_on=op is DeactivateNode,
+                    undo=mode is Mode.FULL)
+    return _first_anchor(handle, n, lambda x: (
+        *copies.keep_on(g.out_neighbors(x)), StConnected()))
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +311,17 @@ def triangle_via_5bpm(g: Graph, *, mode="full", factory=direct_factory):
     n = g.node_count
     h = build_5bpm_gadget(g, pair_edges=(mode is not Mode.INCREMENTAL))
     handle = factory(ProblemKind.KBPM, mode, h)
+    op = InsertEdge if mode is Mode.INCREMENTAL else DeleteEdge
+    pairs = Toggle(n, lambda v: (op(n + v, v), op(3 * n + v, 2 * n + v)),
+                   start_on=op is DeleteEdge, undo=mode is Mode.FULL)
 
     def stage(x):
         nbr_set = g.out_neighbors(x)
         threshold = 2 * (n - len(nbr_set))
-        if mode is Mode.INCREMENTAL:
-            ops = [op for v in range(n) if v not in nbr_set
-                   for op in (InsertEdge(n + v, v), InsertEdge(3 * n + v, 2 * n + v))]
-        else:
-            ops = [op for v in sorted(nbr_set)
-                   for op in (DeleteEdge(n + v, v), DeleteEdge(3 * n + v, 2 * n + v))]
-        return ops, KAugFreeMatchingSize(5), lambda size: size > threshold
+        return (*pairs.keep_off(nbr_set), KAugFreeMatchingSize(5),
+                lambda size: size > threshold)
 
-    return _first_anchor(handle, mode, n, stage)
+    return _first_anchor(handle, n, stage)
 
 
 def build_17bpm_gadget(g: Graph, *, anchor_pairs: bool = True) -> Graph:
@@ -376,15 +367,11 @@ def triangle_via_17bpm(g: Graph, *, mode="full", factory=direct_factory):
                 f"matching size {size} exceeds the miss bound but is not {4 * n - 1}")
         return True
 
-    def stage(x):
-        if mode is Mode.INCREMENTAL:
-            ops = [op for v in range(n) if v != x
-                   for op in (InsertEdge(v, n + v), InsertEdge(6 * n + v, 7 * n + v))]
-        else:
-            ops = [DeleteEdge(x, n + x), DeleteEdge(6 * n + x, 7 * n + x)]
-        return ops, KAugFreeMatchingSize(17), interpret
-
-    return _first_anchor(handle, mode, n, stage)
+    op = InsertEdge if mode is Mode.INCREMENTAL else DeleteEdge
+    pairs = Toggle(n, lambda v: (op(v, n + v), op(6 * n + v, 7 * n + v)),
+                   start_on=op is DeleteEdge, undo=mode is Mode.FULL)
+    return _first_anchor(handle, n, lambda x: (
+        *pairs.keep_off((x,)), KAugFreeMatchingSize(17), interpret))
 
 
 # ---------------------------------------------------------------------------

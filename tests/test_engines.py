@@ -683,12 +683,17 @@ def _reach_handle():
                           build(4, [(0, 1)], directed=True, s=0, t=3))
 
 
+def _undo(ops, rollback):
+    """run_stage's undo: None restores by rollback, else the inverse updates."""
+    return None if rollback else [inverse(op) for op in ops]
+
+
 @pytest.mark.parametrize("rollback", [False, True])
 def test_run_stage_restores_state(rollback):
     eng = _reach_handle()
     base = eng.state.graph.digest()
     ops = [InsertEdge(1, 2), InsertEdge(2, 3)]
-    hit = run_stage(eng, ops, StReachable(), rollback=rollback)
+    hit = run_stage(eng, ops, StReachable(), undo=_undo(ops, rollback))
     assert hit is True
     assert eng.state.graph.digest() == base
     c = eng.counters
@@ -703,16 +708,16 @@ def test_run_stage_keep_hit(rollback):
     eng = _reach_handle()
     base = eng.state.graph.digest()
     # a miss is restored even with keep_hit
-    assert run_stage(eng, [InsertEdge(1, 2)], StReachable(), rollback=rollback,
-                     keep_hit=True) is False
+    assert run_stage(eng, [InsertEdge(1, 2)], StReachable(),
+                     undo=_undo([InsertEdge(1, 2)], rollback), keep_hit=True) is False
     assert eng.state.graph.digest() == base
     # a hit stays installed
-    assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), rollback=rollback,
-                     keep_hit=True) is True
+    assert run_stage(eng, [InsertEdge(1, 3)], StReachable(),
+                     undo=_undo([InsertEdge(1, 3)], rollback), keep_hit=True) is True
     assert eng.state.graph.has_edge(1, 3)
     # interpret maps the answer; a false interpreted answer is restored
     assert run_stage(eng, [InsertEdge(1, 2)], StReachable(), lambda ok: not ok,
-                     rollback=rollback, keep_hit=True) is False
+                     undo=_undo([InsertEdge(1, 2)], rollback), keep_hit=True) is False
     assert not eng.state.graph.has_edge(1, 2)
 
 

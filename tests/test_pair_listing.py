@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dynred.model import ConstructionError, DomainError, GuardError
+from dynred.model import ConstructionError, DeleteEdge, DomainError, GuardError
 from dynred.pair_listing import (
     OVERFLOW,
     DecrementalTraceAdapter,
@@ -251,3 +251,41 @@ def test_adapter_singleton_block_cost():
     adapter.probe(0, adapter.levels, 1)
     log = max(1, adapter.levels)
     assert c.updates - before <= 2 * 1 * log + 2 * log
+
+
+def _reference_prune(adapter, nodes, kept_leaves, toward_root):
+    """The O(leaves) walk the adapter used before it walked root paths: mark
+    every slot above a kept leaf, then cut each edge from the root or a
+    marked slot to an unmarked, non-dummy child, by parent slot."""
+    leaves = adapter._tree_leaves
+    kept = [False] * (2 * leaves)
+    for x in kept_leaves:
+        kept[leaves + x] = True
+    for hh in range(leaves - 1, 0, -1):
+        kept[hh] = kept[2 * hh] or kept[2 * hh + 1]
+    deletions = []
+    for hh in range(1, leaves):
+        if not kept[hh] and hh != 1:
+            continue
+        for child in (2 * hh, 2 * hh + 1):
+            dummy = child >= leaves and child - leaves >= adapter.inst.side
+            if kept[child] or dummy:
+                continue
+            if kept[hh] or hh == 1:
+                u, v = ((nodes[child], nodes[hh]) if toward_root
+                        else (nodes[hh], nodes[child]))
+                deletions.append(DeleteEdge(u, v))
+    return deletions
+
+
+@pytest.mark.parametrize("side", range(1, 65))
+def test_prune_matches_the_full_tree_walk(side):
+    rng = random.Random(f"prune/{side}")
+    adapter = DecrementalTraceAdapter(TripartiteInstance(n_c=1, r=1, side=side))
+    lay = adapter._layout
+    for _ in range(40):
+        kept = sorted(rng.sample(range(side), rng.randint(0, side)))
+        for cuts, nodes, toward_root in ((adapter._s_cuts, lay.s_nodes, False),
+                                         (adapter._t_cuts, lay.t_nodes, True)):
+            assert adapter._prune(cuts, kept) == \
+                _reference_prune(adapter, nodes, kept, toward_root)

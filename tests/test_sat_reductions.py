@@ -86,6 +86,20 @@ def test_fail_table_worked_example():
     assert t.unsat_indices(1) == []
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_unsat_indices_agree_with_stage_satisfies(seed):
+    rng = random.Random(f"unsat/{seed}")
+    n = rng.randint(1, 12)
+    f = random_cnf(rng, n, rng.randint(0, 3 * n), width=rng.randint(1, 4))
+    if n >= 2 and rng.random() < 0.5:
+        t = build_fail_table(f, Fraction(1, 4), blocks=2)
+    else:
+        t = build_fail_table(f, Fraction(rng.randint(1, 4), 4))
+    for r in range(1 << t.stage_bits):
+        assert t.unsat_indices(r) == [j for j in range(len(f.clauses))
+                                      if not t.stage_satisfies(j, r)]
+
+
 def test_fail_table_edge_clauses():
     # tautological inside the block, no block literals at all, empty clause
     f = CnfFormula(2, [[1, -1], [2], []])

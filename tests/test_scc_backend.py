@@ -19,6 +19,7 @@ from dynred.engines import (
     _csgraph_scc_sizes,
     _tarjan_scc_sizes,
     direct_factory,
+    inverse,
     run_stage,
 )
 from dynred.model import (
@@ -162,7 +163,7 @@ def test_engine_answers_after_stage_restores(kind, path):
                             if u != v and not g.has_edge(u, v)], 8)
         ops = [InsertEdge(u, v) for u, v in pairs]
         ops += [DeleteEdge(*e) for e in rng.sample(g.edges(), 5)]
-        run_stage(eng, ops, query, rollback=False)  # inverse updates
+        run_stage(eng, ops, query, undo=[inverse(op) for op in ops])
         assert g == start
         _columns_hold_edges(g)
         assert eng.query(query) == expect(40, _oracle_sizes(g))

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from dynred.engines import DirectEngine, Mode, ProblemKind, direct_factory
 from dynred.generators import random_bipartite, random_graph
-from dynred.model import DeleteEdge, DomainError, Graph, InsertEdge, KAugFreeMatchingSize
+from dynred.model import (
+    DeactivateNode,
+    DeleteEdge,
+    DomainError,
+    Graph,
+    InsertEdge,
+    KAugFreeMatchingSize,
+)
 from dynred.oracles import oracle_all_triangles, oracle_triangle
 from dynred.triangle_reductions import (
     TriangleWitness,
@@ -395,3 +402,22 @@ def test_split_matches_oracle():
         assert (w is not None) == (oracle_triangle(g) is not None), g.to_text()
         if w is not None:
             assert w.verify(g)
+
+
+@pytest.mark.parametrize("n", [8, 40, 120])
+def test_decremental_subconn_builds_each_deactivation_once(monkeypatch, n):
+    """A full scan runs n stages of up to 2n deactivations each; every
+    vertex's two DeactivateNode ops are built once and shared by them."""
+    built = []
+    init = DeactivateNode.__init__
+
+    def counted(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(DeactivateNode, "__init__", counted)
+    g = random_bipartite(random.Random(n), n // 2, n - n // 2, 0.2)
+    anchor, counters = triangle_via_subconn(g, mode="dec")
+    assert anchor is None and counters.queries == n
+    assert counters.updates > 2 * n
+    assert len(built) <= 2 * n

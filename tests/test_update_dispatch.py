@@ -208,9 +208,9 @@ def test_abandoned_checkpoint_keeps_working():
     base = _digest(eng)
     # a miss is rolled back; a hit under keep_hit stays installed and leaves
     # its stage checkpoint live, so the log keeps recording
-    assert run_stage(eng, [InsertEdge(2, 1)], StReachable(), rollback=True,
+    assert run_stage(eng, [InsertEdge(2, 1)], StReachable(), undo=None,
                      keep_hit=True) is False
-    assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), rollback=True,
+    assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), undo=None,
                      keep_hit=True) is True
     ((serial, depth),) = eng.state._live.items()
     abandoned = Checkpoint(serial, depth)
