@@ -205,10 +205,11 @@ INSERT_TYPE = (InsertEdge, ActivateNode, AddToScope, InsertSet, IntersectSets)
 DELETE_TYPE = (DeleteEdge, DeactivateNode, RemoveFromScope)
 
 
-@dataclass(frozen=True)
 class Checkpoint:
-    serial: int
-    depth: int
+    """An opaque rollback target, live on the state that issued it until a
+    rollback consumes it. A wrapper's carries the inner engine's in inner."""
+
+    __slots__ = ("inner",)
 
 
 class EngineState:
@@ -224,8 +225,7 @@ class EngineState:
         self._apply = _DISPATCH[kind, mode]  # op type -> handler
         self._answer_fn = KINDS[kind].answer
         self._undo: list[tuple] = []  # (callable, args) pairs
-        self._live: dict[int, int] = {}  # live checkpoint serial -> depth
-        self._serial = 0
+        self._live: list[tuple[Checkpoint, int]] = []  # (cp, log depth), oldest first
         # SUB_UNION: one bitmask of members per set; a SUB_UNION engine
         # takes no set updates, so its sets never change
         self._masks: list[int] | None = None
@@ -463,29 +463,33 @@ def engine_update(state: EngineState, op) -> int | None:
 
 
 def engine_checkpoint(state: EngineState) -> Checkpoint:
-    state._serial += 1
-    cp = Checkpoint(serial=state._serial, depth=len(state._undo))
-    state._live[cp.serial] = cp.depth
+    cp = Checkpoint()
+    state._live.append((cp, len(state._undo)))
     return cp
 
 
+def live_index(state: EngineState, cp) -> int:
+    """The position of cp on the live stack of state; StateError, changing
+    nothing, unless state issued cp and no rollback has consumed it."""
+    live = state._live
+    for i in range(len(live) - 1, -1, -1):
+        if live[i][0] is cp:
+            return i
+    raise StateError("checkpoint is not live (already rolled back or foreign)")
+
+
 def engine_rollback(state: EngineState, cp: Checkpoint) -> None:
-    """Unwind the undo log back to cp. Consumes cp and every checkpoint taken
-    after it. Legal in every mode; each undone update counts as one rollback op."""
-    depth = state._live.get(cp.serial)
-    if depth is None:
-        raise StateError("checkpoint is not live (already rolled back or foreign)")
-    if depth != cp.depth:
-        raise StateError("checkpoint depth mismatch")
+    """Unwind the undo log back to cp, which must be live on state (see
+    live_index). Consumes cp and every checkpoint taken after it. Legal in
+    every mode; each undone update counts as one rollback op."""
+    i = live_index(state, cp)
     undo = state._undo
-    count = len(undo) - depth
+    count = len(undo) - state._live[i][1]
     for _ in range(count):
         fn, args = undo.pop()
         fn(*args)
     state.counters.rollback_ops += count
-    dead = [s for s in state._live if s >= cp.serial]
-    for s in dead:
-        del state._live[s]
+    del state._live[i:]
 
 
 # ---------------------------------------------------------------------------

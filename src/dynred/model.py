@@ -404,12 +404,10 @@ class CnfFormula:
 
     CLAUSE_CAP_FACTOR = 4
 
-    def __init__(self, var_count: int, clauses: list[list[int]],
-                 clause_cap_factor: int | None = None):
+    def __init__(self, var_count: int, clauses: list[list[int]]):
         if var_count < 0:
             raise DomainError("var_count must be nonnegative")
-        cap = (clause_cap_factor if clause_cap_factor is not None
-               else self.CLAUSE_CAP_FACTOR) * var_count
+        cap = self.CLAUSE_CAP_FACTOR * var_count
         if len(clauses) > cap:
             raise DomainError(
                 f"{len(clauses)} clauses exceed the {cap} cap for {var_count} variables")

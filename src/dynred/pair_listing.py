@@ -31,7 +31,7 @@ from .model import (
     StConnected,
     StReachable,
 )
-from .triangle_reductions import routing_tree_layout
+from .triangle_reductions import add_tree_arcs, routing_tree_layout
 
 CAP_FACTOR = 2  # slack multiplier in the degree and pair-count caps
 
@@ -328,12 +328,7 @@ class DecrementalTraceAdapter(_BlockProbe):
         s_nodes, t_nodes = self._layout.s_nodes, self._layout.t_nodes
         h = Graph(base + 2 + 2 * (leaves - 2) + 2 * (leaves - side),
                   directed=True, s=s, t=t)
-        for hh in range(1, leaves):
-            for child in (2 * hh, 2 * hh + 1):
-                if child >= self._dummies_from:
-                    continue
-                h.add_edge(s_nodes[hh], s_nodes[child])
-                h.add_edge(t_nodes[child], t_nodes[hh])
+        add_tree_arcs(h, self._layout, self._dummies_from)
         for a, c in inst.e_ac:
             h.add_edge(a, 2 * side + c)
         for b, c in inst.e_bc:

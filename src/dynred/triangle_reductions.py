@@ -166,6 +166,17 @@ def routing_tree_layout(leaves: int, real: int, roots: tuple[int, int],
     return TreeLayout(leaves, s_nodes, tree(roots[1], leaf_bases[1]))
 
 
+def add_tree_arcs(h: Graph, lay: TreeLayout, end: int) -> None:
+    """Add both routing trees' arcs to h by parent slot, s-tree arcs down and
+    t-tree arcs up, leaving out children at heap slots end and beyond."""
+    s_nodes, t_nodes = lay.s_nodes, lay.t_nodes
+    for hh in range(1, lay.leaf_count):
+        for child in (2 * hh, 2 * hh + 1):
+            if child < end:
+                h.add_edge(s_nodes[hh], s_nodes[child])
+                h.add_edge(t_nodes[child], t_nodes[hh])
+
+
 def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
     """Four-layer host plus two binary routing trees for deletions-only runs.
 
@@ -184,15 +195,11 @@ def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
     h = Graph(base + 2 * (internal + dummies), directed=True, s=s, t=t)
     add_layer_arcs(h, g)
     lay = routing_tree_layout(leaves, n, (s, t), (0, 3 * n), base)
-    s_nodes, t_nodes = lay.s_nodes, lay.t_nodes
     if leaves == 1:
-        h.add_edge(s, s_nodes[1])
-        h.add_edge(t_nodes[1], t)
+        h.add_edge(s, lay.s_nodes[1])
+        h.add_edge(lay.t_nodes[1], t)
     else:
-        for hh in range(1, leaves):
-            for child in (2 * hh, 2 * hh + 1):
-                h.add_edge(s_nodes[hh], s_nodes[child])
-                h.add_edge(t_nodes[child], t_nodes[hh])
+        add_tree_arcs(h, lay, 2 * leaves)
     return h, lay
 
 
@@ -400,6 +407,18 @@ def _cube_ceil(m: int) -> int:
     return d
 
 
+def _fold_sets(handle, set_ids) -> list[int | None]:
+    """For each vertex's list of set ids, the id of their intersection,
+    folded left to right with IntersectSets (None for an empty list)."""
+    folded = []
+    for ids in set_ids:
+        acc = ids[0] if ids else None
+        for j in ids[1:]:
+            acc = handle.update(IntersectSets(acc, j))
+        folded.append(acc)
+    return folded
+
+
 def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
     """Two-phase membership detection over neighborhood sets.
 
@@ -429,15 +448,8 @@ def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
         index = {j: i for i, j in enumerate(high)}
         high_sets = [[a for a in range(n) if not g.has_edge(j, a)] for j in high]
         handle = factory(ProblemKind.PP, Mode.FULL, SetSystem(n, high_sets))
-        folded: list[int | None] = []
-        for b in range(n):
-            acc = None
-            hn = [c for c in nbrs[b] if deg[c] >= delta]
-            if hn:
-                acc = index[hn[0]]
-                for c in hn[1:]:
-                    acc = handle.update(IntersectSets(acc, index[c]))
-            folded.append(acc)
+        folded = _fold_sets(handle, [[index[c] for c in nbrs[b] if deg[c] >= delta]
+                                     for b in range(n)])
         hit = False
         for a, b in edges:
             if folded[b] is not None and not handle.query(Member(folded[b], a)):
@@ -465,15 +477,7 @@ def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
         hash_sets = [[a for a in range(n) if j not in image[a]]
                      for j in range(buckets)]
         handle = factory(ProblemKind.PP, Mode.FULL, SetSystem(n, hash_sets))
-        folded = []
-        for b in range(n):
-            acc = None
-            if nbrs[b]:
-                vals = [hashed(c) for c in nbrs[b]]
-                acc = vals[0]
-                for j in vals[1:]:
-                    acc = handle.update(IntersectSets(acc, j))
-            folded.append(acc)
+        folded = _fold_sets(handle, [[hashed(c) for c in nbrs[b]] for b in range(n)])
         survivors = []
         for a, b in suspects:
             if not handle.query(Member(folded[b], a)):

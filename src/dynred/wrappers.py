@@ -12,8 +12,10 @@ translated and forwarded. Every answer comes from the inner engine.
 
 A wrapper's counters are the outer state's, plus one query per answered
 query: the traffic it received. The cost spent inside is on
-`handle.inner.counters`. A checkpoint pairs the inner checkpoint with one of
-the outer state, and rollback unwinds both.
+`handle.inner.counters`. A wrapper's checkpoint is one of the outer state
+that carries the inner engine's. Rollback looks it up on the outer state
+before it unwinds the inner engine and then the outer state, so a checkpoint
+not live there raises StateError and changes nothing.
 
 Suppressed updates (fan-out zero) provably cannot change any outer answer;
 they change only the outer state. The hosts of the reachability and
@@ -23,11 +25,11 @@ outer state, goes no further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .engines import (
     KINDS,
+    Checkpoint,
     Mode,
     ProblemKind,
     _as_kind,
@@ -39,6 +41,7 @@ from .engines import (
     engine_query,
     engine_rollback,
     engine_update,
+    live_index,
 )
 from .model import (
     ActivateNode,
@@ -57,12 +60,6 @@ from .model import (
     StReachable,
     StronglyConnected,
 )
-
-
-@dataclass(frozen=True)
-class WrapperCheckpoint:
-    inner_cp: object
-    outer_cp: object
 
 
 class _WrapperBase:
@@ -103,13 +100,15 @@ class _WrapperBase:
         self.counters.queries += 1
         return answer
 
-    def checkpoint(self) -> WrapperCheckpoint:
-        return WrapperCheckpoint(self.inner.checkpoint(),
-                                 engine_checkpoint(self._outer))
+    def checkpoint(self) -> Checkpoint:
+        cp = engine_checkpoint(self._outer)
+        cp.inner = self.inner.checkpoint()
+        return cp
 
-    def rollback(self, cp: WrapperCheckpoint) -> None:
-        self.inner.rollback(cp.inner_cp)
-        engine_rollback(self._outer, cp.outer_cp)
+    def rollback(self, cp: Checkpoint) -> None:
+        live_index(self._outer, cp)  # a checkpoint not live here changes nothing
+        self.inner.rollback(cp.inner)
+        engine_rollback(self._outer, cp)
 
     def _translate(self, op) -> list:
         """The inner ops for an outer op the outer state has accepted."""

@@ -1,11 +1,12 @@
-"""A failed update changes nothing.
+"""A failed update or rollback changes nothing.
 
 Engines of every kind and each of the five wrappers get random valid ops
 mixed with invalid ones: ids out of range, self-loops, duplicate and
 missing edges, nodes and scope sets in the wrong state, bad weights, ops of
 a family the kind does not take, and ops the mode forbids. Any update that
 raises must leave the innermost state digest and all four counters of every
-handle in the chain exactly as they were.
+handle in the chain exactly as they were. The same holds for a rollback to
+a checkpoint the handle did not issue, or one already consumed.
 """
 
 import random
@@ -17,6 +18,7 @@ from dynred.engines import (
     Mode,
     ProblemKind,
     direct_factory,
+    innermost,
 )
 from dynred.model import (
     ActivateNode,
@@ -226,3 +228,80 @@ def test_wrapper_raises_what_the_direct_engine_raises(name):
                 mismatched.append((trial, mode.value, op, got, want))
                 break
     assert mismatched == []
+
+
+_ALLOW = {Mode.FULL: ("insert", "delete"), Mode.INCREMENTAL: ("insert",),
+          Mode.DECREMENTAL: ("delete",)}
+
+
+def _valid_updates(handle, kind, rng, aux, steps):
+    """Apply up to steps random valid ops that the mode allows."""
+    outer = getattr(handle, "_outer", None) or handle.state
+    for _ in range(steps):
+        op = random_valid_op(kind, outer, rng, aux, allow=_ALLOW[handle.mode])
+        if op is not None:
+            handle.update(op)
+
+
+def _misused_checkpoints(handle, twin, stranger, kind, rng, aux):
+    """Checkpoints handle must refuse while it has live ones with logged
+    updates: a twin's, one rolled back, one consumed by a rollback to an
+    earlier checkpoint, stranger's (of the other handle type) and a
+    non-checkpoint. Returns them with handle's oldest live checkpoint."""
+    base = handle.checkpoint()
+    _valid_updates(handle, kind, rng, aux, 3)
+    early = handle.checkpoint()
+    _valid_updates(handle, kind, rng, aux, 3)
+    done = handle.checkpoint()
+    _valid_updates(handle, kind, rng, aux, 3)
+    handle.rollback(done)
+    consumed = handle.checkpoint()
+    _valid_updates(handle, kind, rng, aux, 3)
+    handle.rollback(early)
+    _valid_updates(handle, kind, rng, aux, 3)
+    return base, [twin.checkpoint(), done, consumed, stranger, object()]
+
+
+def _check_misuse(factory, kind, stranger_of, name):
+    rng = random.Random(f"checkpoints/{name}")
+    undone = 0
+    for _ in range(10):
+        mode = rng.choice(list(Mode))
+        inst, aux = random_engine_instance(kind, rng, 7)
+        scope = aux.get("scope")
+        handle = factory(kind, mode, inst, scope=scope)
+        twin = factory(kind, mode, inst, scope=scope)
+        stranger = stranger_of(handle, mode, inst, scope)
+        base, misused = _misused_checkpoints(handle, twin, stranger, kind,
+                                             rng, aux)
+        for cp in misused:
+            before = _snapshot(handle)
+            with pytest.raises(StateError):
+                handle.rollback(cp)
+            assert _snapshot(handle) == before, (name, cp)
+        before = handle.counters.rollback_ops
+        handle.rollback(base)  # the live checkpoint still works
+        undone += handle.counters.rollback_ops > before
+    assert undone >= 3  # refused rollbacks had logged updates to undo
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+def test_misused_checkpoint_changes_nothing(kind):
+    wrapper = subconn_via_streach()(
+        ProblemKind.ST_SUBCONN, "full", Graph(2, s=0, t=1, active=set()))
+    _check_misuse(direct_factory, kind,
+                  lambda handle, mode, inst, scope: wrapper.checkpoint(),
+                  kind.value)
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+@pytest.mark.parametrize("stranger", ["direct", "innermost"])
+def test_misused_wrapper_checkpoint_changes_nothing(name, stranger):
+    kind, factory = WRAPPERS[name]
+
+    def stranger_of(handle, mode, inst, scope):
+        if stranger == "innermost":  # live on the engine under the wrapper
+            return innermost(handle).checkpoint()
+        return direct_factory(kind, mode, inst, scope=scope).checkpoint()
+
+    _check_misuse(factory, kind, stranger_of, name)

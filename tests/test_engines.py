@@ -10,7 +10,6 @@ import pytest
 import dynred
 from dynred import oracles
 from dynred.engines import (
-    Checkpoint,
     EngineState,
     Mode,
     ProblemKind,
@@ -289,10 +288,17 @@ def test_rollback_keeps_earlier_checkpoint_at_equal_depth():
 
 
 def test_foreign_checkpoint_rejected():
-    g = build(2, [(0, 1)], directed=True, s=0, t=1)
-    st = engine_new(ProblemKind.ST_REACH, "full", g)
-    with pytest.raises(StateError):
-        engine_rollback(st, Checkpoint(serial=99, depth=0))
+    g = build(4, [(0, 1), (2, 3)], directed=True, s=0, t=3)
+    a = direct_factory(ProblemKind.ST_REACH, "full", g)
+    b = direct_factory(ProblemKind.ST_REACH, "full", g)
+    a_cp = a.checkpoint()
+    b.checkpoint()
+    b.update(InsertEdge(1, 3))
+    before = (_engine_digest(b), b.counters.as_dict())
+    for cp in (a_cp, object()):
+        with pytest.raises(StateError):
+            b.rollback(cp)
+        assert (_engine_digest(b), b.counters.as_dict()) == before
 
 
 def test_rollback_bypasses_mode_checks():

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from dynred.engines import (
     KINDS,
-    Checkpoint,
     Mode,
     ProblemKind,
     direct_factory,
@@ -212,8 +211,7 @@ def test_abandoned_checkpoint_keeps_working():
                      keep_hit=True) is False
     assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), undo=None,
                      keep_hit=True) is True
-    ((serial, depth),) = eng.state._live.items()
-    abandoned = Checkpoint(serial, depth)
+    ((abandoned, _),) = eng.state._live
     eng.update(InsertEdge(0, 2))
     assert len(eng.state._undo) == 2
     mid = _digest(eng)
