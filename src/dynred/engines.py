@@ -58,6 +58,7 @@ from .model import (
     StateError,
     StronglyConnected,
     UnionIsUniverse,
+    _Sides,
 )
 
 
@@ -261,10 +262,12 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
     if not isinstance(instance, expected):
         raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
     if expected is Graph:
-        _check_graph_shape(kind, instance)
+        sides = _check_graph_shape(kind, instance)
         if instance.node_count > limits.max_state_nodes():
             raise GuardError(f"{instance.node_count} nodes exceed the state cap")
         state.graph = instance.copy()
+        if sides is not None:
+            state.graph._adopt_sides(sides)
         state.counters.preprocess_units = instance.node_count + instance.edge_count
         if scope is not None:
             raise DomainError("scope applies only to set-system kinds")
@@ -284,7 +287,9 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
     return state
 
 
-def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
+def _check_graph_shape(kind: ProblemKind, g: Graph) -> _Sides | None:
+    """Raise DomainError unless g fits kind. For a bipartite kind, returns
+    g's bipartition view, which engine_new hands to its copy of g."""
     spec, name = KINDS[kind], kind.value
     if spec.directed is not None and bool(g.directed) != spec.directed:
         orientation = "a directed" if spec.directed else "an undirected"
@@ -304,7 +309,8 @@ def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
         weights = "a weighted" if spec.weighted else "an unweighted"
         raise DomainError(f"{name} needs {weights} graph")
     if spec.bipartite:
-        _bipartition(g)  # raises DomainError if not bipartite
+        return _Sides(g.adjacency()[0])  # raises DomainError if not bipartite
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -673,80 +679,59 @@ def _dijkstra_st(g: Graph) -> int | None:
     return dist.get(g.t)
 
 
-def _bipartition(g: Graph) -> tuple[list[int], list[int]]:
-    """Two-color by BFS, smallest id of each component on the left.
-    Raises DomainError when an odd cycle exists."""
-    adj, _ = g.adjacency()
-    seen: set[int] = set()
-    left: list[int] = []
-    right: list[int] = []
-    for root in range(len(adj)):
-        if root in seen:
-            continue
-        seen.add(root)
-        layer = {root}
-        side, other = left, right
-        while layer:
-            side.extend(layer)
-            reach = set().union(*map(adj.__getitem__, layer))
-            # BFS layers: an edge inside one layer closes an odd cycle
-            if not reach.isdisjoint(layer):
-                raise DomainError("graph is not bipartite")
-            layer = reach - seen
-            seen |= layer
-            side, other = other, side
-    left.sort()
-    right.sort()
-    return left, right
-
-
 def _kaug_free_mates(g: Graph, k: int | None) -> list[int]:
-    """compute_kaug_free_matching as a list: mate[v] is v's partner or -1."""
+    """compute_kaug_free_matching as a list: mate[v] is v's partner or -1.
+
+    Left vertices and their neighbours are scanned in ascending order (the
+    graph's kept bipartition and rows), so the matching depends only on the
+    edge set."""
     if k is not None and (k < 1 or k % 2 == 0):
         raise DomainError("k must be a positive odd integer")
-    left, _right = _bipartition(g)
-    adj, _ = g.adjacency()
+    left, _right = g.bipartition()
+    adj = g.ascending_rows()
     n = len(adj)
     mate = [-1] * n
     # First phase: with nothing matched, every shortest augmenting path is a
     # single edge, and extracting them reduces to a greedy scan in left order.
+    free = []  # unmatched left vertices, ascending
     for u in left:
         for v in adj[u]:
             if mate[v] == -1:
                 mate[u] = v
                 mate[v] = u
                 break
-    while True:
+        else:
+            free.append(u)
+    # an augmenting path of at most k edges ends by BFS layer (k + 1) // 2
+    limit = n if k is None else (k + 1) // 2
+    while free:
         # layered BFS over left vertices; dist counts matched-edge hops,
         # -1 marks a vertex outside the layers (or a dead end, below)
         dist = [-1] * n
-        queue = [u for u in left if mate[u] == -1]
-        for u in queue:
+        for u in free:
             dist[u] = 0
+        queue = free[:]
         found = -1  # layer of the first free right vertex reached
+        last = limit  # the deepest layer worth reaching
         for u in queue:
             du = dist[u]
-            if found != -1 and du >= found:
-                continue
+            if du >= last:
+                break  # the queue is in layer order
             for v in adj[u]:
                 w = mate[v]
                 if w == -1:
-                    if found == -1 or du + 1 < found:
-                        found = du + 1
+                    if found == -1:
+                        found = last = du + 1
                 elif dist[w] == -1:
                     dist[w] = du + 1
                     queue.append(w)
         if found == -1:
-            break
-        length = 2 * found - 1  # edges on the augmenting path
-        if k is not None and length > k:
-            break
+            break  # no augmenting path of at most k edges
         # Depth-first extraction of augmenting paths along the layers, with
         # an explicit stack of (left vertex, its neighbour iterator). Each
         # left vertex restarts its neighbour scan whenever it is entered.
-        for root in left:
-            if mate[root] != -1:
-                continue
+        # A path from one free root passes through matched vertices only.
+        for root in free:
             stack = [(root, iter(adj[root]))]
             while stack:
                 u, it = stack[-1]
@@ -770,6 +755,7 @@ def _kaug_free_mates(g: Graph, k: int | None) -> list[int]:
                 else:
                     dist[u] = -1  # dead end for this phase
                     stack.pop()
+        free = [u for u in free if mate[u] == -1]
     return mate
 
 
@@ -788,7 +774,7 @@ def _max_weight_pm(g: Graph) -> int | None:
     """Maximum-weight perfect matching via the assignment solver; None if no PM."""
     from scipy.optimize import linear_sum_assignment
 
-    left, right = _bipartition(g)
+    left, right = g.bipartition()
     if len(left) != len(right):
         return None
     if not left:
@@ -974,8 +960,8 @@ def run_stage(handle, ops, query, interpret=bool, *, undo=None,
 
     Returns interpret(answer). With undo None the state is restored by
     rolling back to a checkpoint taken before the ops; otherwise by
-    applying undo, the inverses of ops in install order (the KBPM answer
-    depends on the history of the adjacency sets, so the order is fixed).
+    applying undo, the inverses of ops in install order (which keeps the
+    op streams of the reductions as they are pinned).
     With keep_hit, a stage whose interpreted answer is true stays installed.
     """
     cp = handle.checkpoint() if undo is None else None

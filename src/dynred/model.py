@@ -9,7 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -122,8 +124,18 @@ class Graph:
         self.max_weight = max_weight if weighted else None
         self._adj: list[set[int]] = [set() for _ in range(node_count)]
         self._w: dict[tuple[int, int], int] = {}
-        # arc_columns(): (key -> row, sources, targets) once asked for
+        # Kept views, each built on first use: arc_columns() as (key -> row,
+        # sources, targets), which every edge update keeps at once (so that
+        # a rollback pops the rows a stage appended, leaving the source
+        # column as sorted as it was), and ascending_rows() and
+        # bipartition(), which catch up at their next read with _pending,
+        # the edge keys toggled since (in first-touch order). _kept is true
+        # once any view is kept.
+        self._kept = False
         self._arcs: tuple[dict, array, array] | None = None
+        self._rows: list[list[int]] | None = None
+        self._sides: _Sides | None = None
+        self._pending: dict[tuple[int, int], None] | None = None
         self.edge_count = 0
         for name, v in (("s", s), ("t", t)):
             if v is not None and not (0 <= v < node_count):
@@ -163,8 +175,8 @@ class Graph:
         if not directed:
             self._adj[v].add(u)
         self.edge_count += 1
-        if self._arcs is not None:
-            self._arc_add(key)
+        if self._kept:
+            self._kept_add(key)
 
     def remove_edge(self, u: int, v: int) -> int | None:
         check_edge_ids(u, v, self.node_count)
@@ -177,8 +189,8 @@ class Graph:
         if not directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
-        if self._arcs is not None:
-            self._arc_remove(key)
+        if self._kept:
+            self._kept_remove(key)
         return w if self.weighted else None
 
     # Unchecked edits for engine rollback: each restores an edge state the
@@ -192,8 +204,8 @@ class Graph:
         if not self.directed:
             self._adj[v].add(u)
         self.edge_count += 1
-        if self._arcs is not None:
-            self._arc_add(key)
+        if self._kept:
+            self._kept_add(key)
 
     def _unlink(self, u: int, v: int) -> None:
         """Remove edge (u, v), which add_edge inserted."""
@@ -203,25 +215,75 @@ class Graph:
         if not self.directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
-        if self._arcs is not None:
-            self._arc_remove(key)
+        if self._kept:
+            self._kept_remove(key)
 
-    def _arc_add(self, key: tuple[int, int]) -> None:
-        rows, src, dst = self._arcs
-        rows[key] = len(src)
-        src.append(key[0])
-        dst.append(key[1])
+    # -- kept views
 
-    def _arc_remove(self, key: tuple[int, int]) -> None:
-        """Drop key's row; the last row moves into its place."""
-        rows, src, dst = self._arcs
-        i = rows.pop(key)
-        u = src.pop()
-        v = dst.pop()
-        if i < len(src):
-            src[i] = u
-            dst[i] = v
-            rows[u, v] = i
+    def _kept_add(self, key: tuple[int, int]) -> None:
+        arcs = self._arcs
+        if arcs is not None:
+            rows, src, dst = arcs
+            rows[key] = len(src)
+            src.append(key[0])
+            dst.append(key[1])
+        if self._pending is not None:
+            self._toggle(key)
+
+    def _kept_remove(self, key: tuple[int, int]) -> None:
+        arcs = self._arcs
+        if arcs is not None:  # drop key's row; the last row moves into its place
+            rows, src, dst = arcs
+            i = rows.pop(key)
+            u = src.pop()
+            v = dst.pop()
+            if i < len(src):
+                src[i] = u
+                dst[i] = v
+                rows[u, v] = i
+        if self._pending is not None:
+            self._toggle(key)
+
+    def _toggle(self, key: tuple[int, int]) -> None:
+        pending = self._pending
+        if key in pending:
+            del pending[key]  # toggled back: the views hold this state already
+        else:
+            pending[key] = None
+
+    def _catch_up(self) -> None:
+        """Catch the rows and the sides up, or start noting toggles for them."""
+        if self._pending is None:
+            self._pending = {}
+            self._kept = True
+        else:
+            self._sync()
+
+    def _sync(self) -> None:
+        """Apply each pending edge toggle to the rows and the sides."""
+        pending = self._pending
+        if not pending:
+            return
+        rows, sides = self._rows, self._sides
+        present, directed = self._w, self.directed
+        for key in pending:
+            u, v = key
+            if key in present:
+                if rows is not None:
+                    insort(rows[u], v)
+                    if not directed:
+                        insort(rows[v], u)
+                if sides is not None and not sides.link(u, v):
+                    sides = None
+            else:
+                if rows is not None:
+                    rows[u].remove(v)
+                    if not directed:
+                        rows[v].remove(u)
+                if sides is not None and not sides.cut(u, v):
+                    sides = None
+        pending.clear()
+        self._sides = sides  # None: the next bipartition() rebuilds it
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v, self.directed) in self._w
@@ -246,10 +308,12 @@ class Graph:
         read-only use by query code that visits every edge.
 
         adj[u] is the set out_neighbors(u) returns (every neighbour when
-        undirected), so it is iterated in the same order. The map is keyed by
-        edge_key(u, v, directed) and holds each edge's weight, or 0 on an
-        unweighted graph. Neither is a copy: callers must not mutate them or
-        hold them across a mutation of the graph.
+        undirected). Set order follows each set's insert/delete history, so
+        code whose result depends on the order of neighbours reads
+        ascending_rows() instead. The map is keyed by edge_key(u, v,
+        directed) and holds each edge's weight, or 0 on an unweighted graph.
+        Neither is a copy: callers must not mutate them or hold them across
+        a mutation of the graph.
         """
         return self._adj, self._w
 
@@ -257,18 +321,59 @@ class Graph:
         """The edge keys as two int arrays (sources, targets), one row per
         edge in no particular order; an arc per row on a directed graph.
 
-        The first call builds them, and from then on every edge update keeps
-        them, so later calls cost nothing; copy() does not carry them. They
-        are the graph's own: callers must not mutate them, and must release
-        any buffer view of them (a numpy frombuffer array) before the graph
-        changes, or the change raises BufferError.
+        A kept view, as ascending_rows() and bipartition() are: the first
+        call builds it, and from then on every edge update keeps it, so
+        later calls cost nothing; copy() does not carry kept views. The
+        columns are the graph's own: callers must not mutate them, and must
+        release any buffer view of them (a numpy frombuffer array) before
+        the graph changes, or the change raises BufferError.
         """
         if self._arcs is None:
             keys = list(self._w)
             self._arcs = ({key: i for i, key in enumerate(keys)},
                           array("i", [u for u, _ in keys]),
                           array("i", [v for _, v in keys]))
+            self._kept = True
         return self._arcs[1], self._arcs[2]
+
+    def ascending_rows(self) -> list[list[int]]:
+        """rows[u] lists out_neighbors(u) in ascending order, so code that
+        iterates neighbours gets the same result on equal graphs whatever
+        their history. A kept view (see arc_columns()) that catches up at
+        each call with the edges whose state changed since the last one: an
+        edge deleted and put back in between costs nothing. The lists are
+        the graph's own, and callers must not mutate them.
+        """
+        self._catch_up()
+        if self._rows is None:
+            self._rows = [sorted(a) for a in self._adj]
+        return self._rows
+
+    def bipartition(self) -> tuple[list[int], list[int]]:
+        """The (left, right) node lists, each ascending: each component is
+        two-coloured by BFS parity, with its least id on the left. Raises
+        DomainError when an odd cycle exists.
+
+        A kept view that catches up as ascending_rows() does. An edge that
+        joins an isolated node to a component, or removes a node's last
+        edge, updates it in O(1) big-int operations; an edge inside a
+        component checks the two sides. Any other change (merging or maybe
+        splitting two components, or an odd cycle) drops it, and the next
+        call rebuilds it with one BFS. The lists are the graph's own, and
+        callers must not mutate them.
+        """
+        if self.directed:
+            raise DomainError("bipartition is defined on undirected graphs")
+        self._catch_up()
+        if self._sides is None:
+            self._sides = _Sides(self._adj)
+        return self._sides.lists()
+
+    def _adopt_sides(self, sides: "_Sides") -> None:
+        """Keep sides, built on a graph with this graph's edges, as the
+        bipartition() view."""
+        self._catch_up()
+        self._sides = sides
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._w.keys())
@@ -334,6 +439,128 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.node_count}, m={self.edge_count}, {kind})"
+
+
+# format(bitmask) digits -> one selector byte per node for itertools.compress
+_ON = bytes.maketrans(b"01", b"\x00\x01")
+_OFF = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _mask(nodes) -> int:
+    return sum(map((1).__lshift__, nodes))
+
+
+class _Sides:
+    """The bipartition() view. deg[v] is v's degree; left is a bitmask of
+    the nodes on the left, and comp[v] the record [least id, member bitmask]
+    that all nodes of v's component share. link() and cut() keep them after
+    an edge toggle, and return False when the view must be rebuilt instead.
+    A rebuild leaves left and comp to the first link() or cut() that needs
+    them, as a view rebuilt at each query often is dropped again unread."""
+
+    __slots__ = ("deg", "left", "comp", "_groups", "_lists", "_ids")
+
+    def __init__(self, adj: list[set[int]]):
+        n = len(adj)
+        self.deg = list(map(len, adj))
+        sides: tuple[list[int], list[int]] = ([], [])
+        groups = []  # each component's nodes, its least id first
+        seen: set[int] = set()
+        for root in range(n):
+            if root in seen:
+                continue
+            seen.add(root)
+            members = []
+            layer = {root}
+            parity = 0
+            while layer:
+                members += layer
+                sides[parity].extend(layer)
+                reach = set().union(*map(adj.__getitem__, layer))
+                # BFS layers: an edge inside one layer closes an odd cycle
+                if not reach.isdisjoint(layer):
+                    raise DomainError("graph is not bipartite")
+                layer = reach - seen
+                seen |= layer
+                parity ^= 1
+            groups.append(members)
+        self._lists = (sorted(sides[0]), sorted(sides[1]))
+        self._groups, self.comp, self.left, self._ids = groups, None, 0, None
+
+    def _records(self) -> None:
+        comp: list = [None] * len(self.deg)
+        for members in self._groups:
+            rec = [members[0], _mask(members)]
+            for v in members:
+                comp[v] = rec
+        self.comp, self.left, self._groups = comp, _mask(self._lists[0]), None
+
+    def lists(self) -> tuple[list[int], list[int]]:
+        if self._lists is None:
+            if self._ids is None:
+                self._ids = list(range(len(self.deg)))  # compress() makes no ints
+            ids = self._ids
+            digits = format(self.left, f"0{len(ids)}b")[::-1].encode()
+            self._lists = (list(compress(ids, digits.translate(_ON))),
+                           list(compress(ids, digits.translate(_OFF))))
+        return self._lists
+
+    def link(self, u: int, v: int) -> bool:
+        deg = self.deg
+        deg[u] += 1
+        deg[v] += 1
+        if self.comp is None:
+            self._records()
+        comp, left = self.comp, self.left
+        ru, rv = comp[u], comp[v]
+        if ru is rv:  # on one side the new edge closes an odd cycle
+            return bool((left >> u ^ left >> v) & 1)
+        if deg[u] == 1:
+            x, y, rec = u, v, rv
+        elif deg[v] == 1:
+            x, y, rec = v, u, ru
+        else:
+            return False  # two components merge
+        # the isolated x joins y's component on the side opposite y
+        bit = 1 << x
+        comp[x] = rec
+        rec[1] |= bit
+        y_left = left >> y & 1
+        if y_left:
+            left ^= bit
+        if x < rec[0]:
+            rec[0] = x  # the new least id goes left: flip the component
+            if y_left:
+                left ^= rec[1]
+        self.left, self._lists = left, None
+        return True
+
+    def cut(self, u: int, v: int) -> bool:
+        deg = self.deg
+        deg[u] -= 1
+        deg[v] -= 1
+        if deg[u] and deg[v]:
+            return False  # the component may split
+        if self.comp is None:
+            self._records()
+        comp, left = self.comp, self.left
+        for x in (u, v):
+            if deg[x]:
+                continue
+            # x, now isolated, leaves its component for one of its own
+            bit = 1 << x
+            rec = comp[x]
+            rec[1] ^= bit
+            comp[x] = [x, bit]
+            left |= bit
+            members = rec[1]
+            if rec[0] == x and members:
+                least = (members & -members).bit_length() - 1
+                rec[0] = least
+                if not left >> least & 1:
+                    left ^= members
+        self.left, self._lists = left, None
+        return True
 
 
 def parse_graph(text: str) -> Graph:

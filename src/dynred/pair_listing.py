@@ -339,6 +339,9 @@ class DecrementalTraceAdapter(_BlockProbe):
             Toggle(2 * leaves, make, start_on=True, undo=False) for make in (
                 lambda c: (DeleteEdge(s_nodes[c >> 1], s_nodes[c]),),
                 lambda c: (DeleteEdge(t_nodes[c], t_nodes[c >> 1]),)))
+        # list_pairs probes many blocks for one a in a row, and the s-side
+        # deletions depend on a alone: a (None: no leaf kept) -> deletions
+        self._s_side: dict[int | None, list[DeleteEdge]] = {}
 
     def _prune(self, cuts: Toggle, kept_leaves) -> list[DeleteEdge]:
         """The boundary edge deletions that cut every leaf outside kept_leaves:
@@ -354,13 +357,20 @@ class DecrementalTraceAdapter(_BlockProbe):
                             for c in (2 * hh, 2 * hh + 1)
                             if c not in path and c < end])[0]
 
+    def _s_prune(self, a: int | None) -> list[DeleteEdge]:
+        ops = self._s_side.get(a)
+        if ops is None:
+            ops = self._s_side[a] = self._prune(
+                self._s_cuts, () if a is None else (a,))
+        return ops
+
     def probe(self, a: int, i: int, j: int) -> bool:
         members = self.block_members(a, i, j)
         if members:
-            ops = self._prune(self._s_cuts, (a,)) + self._prune(self._t_cuts, members)
+            ops = self._s_prune(a) + self._prune(self._t_cuts, members)
         else:
             # no candidate partner: cutting s from its tree already forces no
-            ops = self._prune(self._s_cuts, ())
+            ops = self._s_prune(None)
         log = max(1, self.levels)
         if len(ops) > 2 * len(members) * log + 2 * log:
             raise ConstructionError(

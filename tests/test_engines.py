@@ -542,19 +542,10 @@ def test_kbpm_rejects_even_k():
         engine_query(st, KAugFreeMatchingSize(2))
 
 
-# The greedy KBPM matcher follows the iteration order of the adjacency sets,
-# which their insert/delete history sets. Until that order is canonical
-# (ROADMAP item 4), equal states can give different answers: on this graph
-# 66 pairs are matched on the original and 65 on the engine's copy.
-_KBPM_HISTORY = ("KBPM answers depend on the adjacency sets' history, "
-                 "not only on the state")
-
-
 def _kbpm_history_graph() -> Graph:
     return random_bipartite(random.Random(200), 100, 100, 0.02)
 
 
-@pytest.mark.xfail(strict=True, reason=_KBPM_HISTORY)
 def test_kbpm_answer_same_on_an_engine_copy():
     g = _kbpm_history_graph()
     copy = engine_new(ProblemKind.KBPM, "full", g).graph
@@ -563,7 +554,6 @@ def test_kbpm_answer_same_on_an_engine_copy():
             == len(compute_kaug_free_matching(g, 1)))
 
 
-@pytest.mark.xfail(strict=True, reason=_KBPM_HISTORY)
 def test_kbpm_answer_same_after_rollback():
     st = engine_new(ProblemKind.KBPM, "full", _kbpm_history_graph())
     digest, before = st.graph.digest(), engine_query(st, KAugFreeMatchingSize(1))
@@ -573,6 +563,22 @@ def test_kbpm_answer_same_after_rollback():
     engine_rollback(st, cp)
     assert st.graph.digest() == digest
     assert engine_query(st, KAugFreeMatchingSize(1)) == before
+
+
+def test_kbpm_answers_survive_partial_delete_and_rollback():
+    # 200 engines, 40 edges deleted and rolled back on each: the restored
+    # edge set must give the answer it gave before
+    moved = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        st = engine_new(ProblemKind.KBPM, "full", random_bipartite(rng, 60, 60, 0.03))
+        before = engine_query(st, KAugFreeMatchingSize(1))
+        cp = engine_checkpoint(st)
+        for u, v in rng.sample(st.graph.edges(), 40):
+            engine_update(st, DeleteEdge(u, v))
+        engine_rollback(st, cp)
+        moved += engine_query(st, KAugFreeMatchingSize(1)) != before
+    assert moved == 0
 
 
 # ---------------------------------------------------------------------------

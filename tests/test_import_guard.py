@@ -1,10 +1,10 @@
 """scipy stays out of processes that do not need it.
 
-Importing the CLI and verify must load no scipy module, and a short
-`dynred run` of an SCC reduction, whose queries scan fewer edges than the
-csgraph import budget, must not import scipy.sparse.csgraph. Each check
-runs in a fresh interpreter, since the test process itself may have
-imported scipy already.
+Importing the CLI and verify must load no scipy module, a `dynred run` of
+a matching reduction must load none either, and a short `dynred run` of an
+SCC reduction, whose queries scan fewer edges than the csgraph import
+budget, must not import scipy.sparse.csgraph. Each check runs in a fresh
+interpreter, since the test process itself may have imported scipy already.
 """
 
 import json
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import dynred
 from dynred import engines
-from dynred.generators import random_cnf
+from dynred.generators import random_bipartite, random_cnf
 
 SRC = str(Path(dynred.__file__).resolve().parent.parent)
 
@@ -57,3 +57,19 @@ def test_short_scc_run_stays_under_the_import_budget(tmp_path):
     # the gadget is above the cutoff, so the run spent part of the budget
     assert 0 < got["spent"] < engines.SCC_IMPORT_BUDGET_EDGES
     assert got["csgraph"] is False
+
+
+def test_matching_run_loads_no_scipy(tmp_path):
+    path = tmp_path / "g.graph"
+    path.write_text(random_bipartite(random.Random(5), 8, 8, 0.3).to_text())
+    got = _fresh(
+        "import sys, json, io, contextlib\n"
+        "from dynred import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main(['run', '--reduction', 'tri-17bpm', '--input', {str(path)!r},"
+        " '--mode', 'full'])\n"
+        "print(json.dumps({'code': code,"
+        " 'queries': json.loads(out.getvalue())['counters']['queries'],"
+        " 'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))")
+    assert got == {"code": 0, "queries": 16, "scipy": []}
