@@ -22,8 +22,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import limits
 from .model import (
     ActivateNode,
@@ -140,7 +138,7 @@ def _kaug_free_size(state, q):
 
 
 def _union_is_universe(state, q):
-    masks = state._masks
+    masks = state.sets.masks
     union = 0
     for i in state.scope:
         union |= masks[i]
@@ -150,7 +148,7 @@ def _union_is_universe(state, q):
 def _member(state, q):
     if not (0 <= q.u < state.sets.universe_size):
         raise DomainError(f"element {q.u} outside universe")
-    return q.u in state.sets.get(q.i)
+    return bool(state.sets.mask(q.i) >> q.u & 1)
 
 
 KINDS: dict[ProblemKind, KindSpec] = {
@@ -197,7 +195,7 @@ KINDS: dict[ProblemKind, KindSpec] = {
         UnionIsUniverse, _union_is_universe, SetSystem, families=("scope",)),
     ProblemKind.PP: KindSpec(Member, _member, SetSystem, families=("set",)),
     ProblemKind.EMPTY_PP: KindSpec(
-        IsEmpty, lambda st, q: len(st.sets.get(q.i)) == 0, SetSystem,
+        IsEmpty, lambda st, q: st.sets.mask(q.i) == 0, SetSystem,
         families=("set",)),
 }
 
@@ -227,9 +225,6 @@ class EngineState:
         self._answer_fn = KINDS[kind].answer
         self._undo: list[tuple] = []  # (callable, args) pairs
         self._live: list[tuple[Checkpoint, int]] = []  # (cp, log depth), oldest first
-        # SUB_UNION: one bitmask of members per set; a SUB_UNION engine
-        # takes no set updates, so its sets never change
-        self._masks: list[int] | None = None
 
     def __repr__(self):
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
@@ -273,12 +268,10 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
             raise DomainError("scope applies only to set-system kinds")
     else:
         state.sets = instance.copy()
-        state.counters.preprocess_units = (instance.universe_size
-                                           + sum(len(s) for s in instance.sets))
+        state.counters.preprocess_units = (
+            instance.universe_size + sum(m.bit_count() for m in instance.masks))
         if kind is ProblemKind.SUB_UNION:
             state.scope = set()
-            state._masks = [sum(1 << x for x in members)
-                            for members in instance.sets]
             if scope is not None:
                 for i in scope:
                     _scope_add(state, AddToScope(i))
@@ -372,7 +365,7 @@ def _deactivate(state: EngineState, op: DeactivateNode) -> None:
 
 def _scope_add(state: EngineState, op: AddToScope) -> None:
     i = op.set_id
-    state.sets.get(i)  # range check
+    state.sets.mask(i)  # range check
     scope = state.scope
     if i in scope:
         raise StateError(f"set {i} already in scope")
@@ -405,8 +398,8 @@ def _intersect_sets(state: EngineState, op: IntersectSets) -> int:
     sets = state.sets
     if len(sets) >= limits.MAX_SETS:
         raise GuardError("set count cap reached")
-    a, b = sets.get(op.i), sets.get(op.j)
-    sets.sets.append(a & b)  # members of a and b are already in the universe
+    a, b = sets.mask(op.i), sets.mask(op.j)
+    sets.masks.append(a & b)  # members of a and b are already in the universe
     if state._live:
         state._undo.append((sets.pop_set, ()))
     return len(sets) - 1
@@ -607,6 +600,7 @@ def _scc_sizes(g: Graph) -> list[int]:
 
 def _csgraph_scc_sizes(g: Graph) -> list[int]:
     """_tarjan_scc_sizes through scipy's strong connected_components."""
+    import numpy as np
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -634,6 +628,8 @@ def _csgraph_scc_sizes(g: Graph) -> list[int]:
 
 def _all_pairs_diameter(g: Graph) -> int | None:
     """Diameter by frontier BFS in matrix form; None when disconnected."""
+    import numpy as np
+
     n = g.node_count
     if n == 0:
         return None
@@ -687,7 +683,7 @@ def _kaug_free_mates(g: Graph, k: int | None) -> list[int]:
     edge set."""
     if k is not None and (k < 1 or k % 2 == 0):
         raise DomainError("k must be a positive odd integer")
-    left, _right = g.bipartition()
+    left = g.left_side()
     adj = g.ascending_rows()
     n = len(adj)
     mate = [-1] * n
@@ -772,6 +768,7 @@ def compute_kaug_free_matching(g: Graph, k: int | None = None) -> dict[int, int]
 
 def _max_weight_pm(g: Graph) -> int | None:
     """Maximum-weight perfect matching via the assignment solver; None if no PM."""
+    import numpy as np
     from scipy.optimize import linear_sum_assignment
 
     left, right = g.bipartition()

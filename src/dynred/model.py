@@ -362,12 +362,19 @@ class Graph:
         call rebuilds it with one BFS. The lists are the graph's own, and
         callers must not mutate them.
         """
+        return self._kept_sides().lists()
+
+    def left_side(self) -> list[int]:
+        """The left list of bipartition(), without building the right one."""
+        return self._kept_sides().left_list()
+
+    def _kept_sides(self) -> "_Sides":
         if self.directed:
             raise DomainError("bipartition is defined on undirected graphs")
         self._catch_up()
         if self._sides is None:
             self._sides = _Sides(self._adj)
-        return self._sides.lists()
+        return self._sides
 
     def _adopt_sides(self, sides: "_Sides") -> None:
         """Keep sides, built on a graph with this graph's edges, as the
@@ -450,15 +457,23 @@ def _mask(nodes) -> int:
     return sum(map((1).__lshift__, nodes))
 
 
+def _select(mask: int, ids, table: bytes = _ON) -> list[int]:
+    """The ids whose bit in mask is set (table _ON) or clear (_OFF), in
+    ascending order; ids is range(n) or list(range(n))."""
+    digits = format(mask, f"0{len(ids)}b")[::-1].encode()
+    return list(compress(ids, digits.translate(table)))
+
+
 class _Sides:
     """The bipartition() view. deg[v] is v's degree; left is a bitmask of
     the nodes on the left, and comp[v] the record [least id, member bitmask]
     that all nodes of v's component share. link() and cut() keep them after
     an edge toggle, and return False when the view must be rebuilt instead.
     A rebuild leaves left and comp to the first link() or cut() that needs
-    them, as a view rebuilt at each query often is dropped again unread."""
+    them, as a view rebuilt at each query often is dropped again unread.
+    After a toggle each node list is rebuilt from left when first read."""
 
-    __slots__ = ("deg", "left", "comp", "_groups", "_lists", "_ids")
+    __slots__ = ("deg", "left", "comp", "_groups", "_left", "_right", "_ids")
 
     def __init__(self, adj: list[set[int]]):
         n = len(adj)
@@ -484,7 +499,7 @@ class _Sides:
                 seen |= layer
                 parity ^= 1
             groups.append(members)
-        self._lists = (sorted(sides[0]), sorted(sides[1]))
+        self._left, self._right = sorted(sides[0]), sorted(sides[1])
         self._groups, self.comp, self.left, self._ids = groups, None, 0, None
 
     def _records(self) -> None:
@@ -493,17 +508,22 @@ class _Sides:
             rec = [members[0], _mask(members)]
             for v in members:
                 comp[v] = rec
-        self.comp, self.left, self._groups = comp, _mask(self._lists[0]), None
+        self.comp, self.left, self._groups = comp, _mask(self._left), None
+
+    def left_list(self) -> list[int]:
+        if self._left is None:
+            self._left = _select(self.left, self._node_ids())
+        return self._left
 
     def lists(self) -> tuple[list[int], list[int]]:
-        if self._lists is None:
-            if self._ids is None:
-                self._ids = list(range(len(self.deg)))  # compress() makes no ints
-            ids = self._ids
-            digits = format(self.left, f"0{len(ids)}b")[::-1].encode()
-            self._lists = (list(compress(ids, digits.translate(_ON))),
-                           list(compress(ids, digits.translate(_OFF))))
-        return self._lists
+        if self._right is None:
+            self._right = _select(self.left, self._node_ids(), _OFF)
+        return self.left_list(), self._right
+
+    def _node_ids(self) -> list[int]:
+        if self._ids is None:
+            self._ids = list(range(len(self.deg)))  # compress() makes no ints
+        return self._ids
 
     def link(self, u: int, v: int) -> bool:
         deg = self.deg
@@ -532,7 +552,8 @@ class _Sides:
             rec[0] = x  # the new least id goes left: flip the component
             if y_left:
                 left ^= rec[1]
-        self.left, self._lists = left, None
+        self.left = left
+        self._left = self._right = None
         return True
 
     def cut(self, u: int, v: int) -> bool:
@@ -559,7 +580,8 @@ class _Sides:
                 rec[0] = least
                 if not left >> least & 1:
                     left ^= members
-        self.left, self._lists = left, None
+        self.left = left
+        self._left = self._right = None
         return True
 
 
@@ -724,53 +746,70 @@ def parse_cnf(text: str) -> CnfFormula:
 
 
 class SetSystem:
-    """Append-only collection of subsets of [0, universe_size). Ids are stable."""
+    """Append-only collection of subsets of [0, universe_size). Ids are stable.
+
+    Each set is kept as one int, bit x set when x is a member: masks[i] (or
+    mask(i), which range-checks i) for set i.
+    """
 
     def __init__(self, universe_size: int, sets: Iterable[Iterable[int]] = ()):
         if universe_size < 0:
             raise DomainError("universe_size must be nonnegative")
         self.universe_size = universe_size
-        self.sets: list[frozenset[int]] = []
+        self.masks: list[int] = []
         for members in sets:
             self.append_set(members)
 
     def append_set(self, members: Iterable[int]) -> int:
-        fs = frozenset(members)
-        if any(not (0 <= x < self.universe_size) for x in fs):
-            raise DomainError("set member outside universe")
-        self.sets.append(fs)
-        return len(self.sets) - 1
+        size = self.universe_size
+        mask = 0
+        for x in members:
+            if not (0 <= x < size):
+                raise DomainError("set member outside universe")
+            mask |= 1 << x
+        self.masks.append(mask)
+        return len(self.masks) - 1
 
     def pop_set(self) -> None:
         # only used by rollback; ids above the popped one never existed afterwards
-        if not self.sets:
+        if not self.masks:
             raise StateError("no sets to pop")
-        self.sets.pop()
+        self.masks.pop()
+
+    def mask(self, i: int) -> int:
+        if not (0 <= i < len(self.masks)):
+            raise StateError(f"set id {i} out of range")
+        return self.masks[i]
+
+    def members(self, i: int) -> list[int]:
+        """The members of set i, ascending."""
+        return _select(self.mask(i), range(self.universe_size))
 
     def get(self, i: int) -> frozenset[int]:
-        if not (0 <= i < len(self.sets)):
-            raise StateError(f"set id {i} out of range")
-        return self.sets[i]
+        return frozenset(self.members(i))
 
     def __len__(self):
-        return len(self.sets)
+        return len(self.masks)
 
     def _state_tuple(self):
-        return (self.universe_size, tuple(tuple(sorted(s)) for s in self.sets))
+        ids = range(self.universe_size)
+        return (self.universe_size, tuple(tuple(_select(m, ids)) for m in self.masks))
 
     def __eq__(self, other):
-        return isinstance(other, SetSystem) and self._state_tuple() == other._state_tuple()
+        return (isinstance(other, SetSystem)
+                and self.universe_size == other.universe_size
+                and self.masks == other.masks)
 
     def digest(self) -> str:
         return hashlib.sha256(repr(self._state_tuple()).encode()).hexdigest()
 
     def copy(self) -> "SetSystem":
         out = SetSystem(self.universe_size)
-        out.sets = list(self.sets)
+        out.masks = list(self.masks)
         return out
 
     def __repr__(self):
-        return f"SetSystem(universe={self.universe_size}, sets={len(self.sets)})"
+        return f"SetSystem(universe={self.universe_size}, sets={len(self.masks)})"
 
 
 # ---------------------------------------------------------------------------

@@ -461,7 +461,7 @@ def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     mode = _as_mode(mode)
     t = build_fail_table(formula, delta)
     c_count = len(formula.clauses)
-    ss = SetSystem(t.assign_count, [sorted(f) for f in t.fail[0]])
+    ss = SetSystem(t.assign_count, t.fail[0])
     scope = set(range(c_count)) if mode is Mode.DECREMENTAL else None
     handle = factory(ProblemKind.SUB_UNION, mode, ss, scope=scope)
     scoped = _toggle(mode, c_count, lambda j: (AddToScope(j),))
@@ -484,7 +484,7 @@ def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
         raise DomainError("intersection folding runs in full mode only")
     t = build_fail_table(formula, delta)
     a_count = t.assign_count
-    sat_sets = [sorted(set(range(a_count)) - f) for f in t.fail[0]]
+    sat_sets = [set(range(a_count)) - f for f in t.fail[0]]
     universe_id = len(sat_sets)
     ss = SetSystem(a_count, sat_sets + [range(a_count)])
     handle = factory(ProblemKind.EMPTY_PP, mode, ss)

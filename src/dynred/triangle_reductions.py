@@ -391,7 +391,7 @@ def triangle_via_empty_pp(g: Graph, *, factory=direct_factory):
     a triangle."""
     _require_undirected(g)
     n = g.node_count
-    ss = SetSystem(n, [sorted(g.out_neighbors(u)) for u in range(n)])
+    ss = SetSystem(n, [g.out_neighbors(u) for u in range(n)])
     handle = factory(ProblemKind.EMPTY_PP, Mode.FULL, ss)
     for u, v in g.edges():
         i = handle.update(IntersectSets(u, v))

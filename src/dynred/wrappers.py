@@ -417,7 +417,7 @@ class SubunionViaConnsub(_WrapperBase):
     name = "subunion-via-connsub"
     outer_kind = ProblemKind.SUB_UNION
     inner_query = InducedConnected()
-    inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss.sets) + 1)
+    inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss) + 1)
 
     def __init__(self, kind, mode, instance: SetSystem, inner_factory, *, scope=None):
         super().__init__(kind, mode, instance, scope)
@@ -425,13 +425,13 @@ class SubunionViaConnsub(_WrapperBase):
             raise DomainError("needs a SetSystem instance")
         self._load(instance, scope)  # range-checks the scope
         n_u = instance.universe_size
-        k = len(instance.sets)
+        k = len(instance)
         hub = n_u + k
         g = Graph(n_u + k + 1, active=set(range(n_u)) | {hub}
                   | {n_u + i for i in self._outer.scope})
         edges = 0
-        for i, members in enumerate(instance.sets):
-            for u in sorted(members):
+        for i in range(k):
+            for u in instance.members(i):
                 g.add_edge(n_u + i, u)
                 edges += 1
             g.add_edge(hub, n_u + i)

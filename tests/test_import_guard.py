@@ -1,10 +1,13 @@
-"""scipy stays out of processes that do not need it.
+"""numpy and scipy stay out of processes that do not need them.
 
-Importing the CLI and verify must load no scipy module, a `dynred run` of
-a matching reduction must load none either, and a short `dynred run` of an
-SCC reduction, whose queries scan fewer edges than the csgraph import
-budget, must not import scipy.sparse.csgraph. Each check runs in a fresh
-interpreter, since the test process itself may have imported scipy already.
+Importing the CLI and verify must load neither, a `dynred run` of a
+matching reduction must load no scipy, and a short `dynred run` of an SCC
+reduction, whose queries scan fewer edges than the csgraph import budget,
+must not import scipy.sparse.csgraph. Runs whose queries call no numpy
+kernel (`ssr`, `tri-pp`, `3sum-listpairs`) load neither; a `diam` run,
+whose query is a numpy kernel, loads numpy but no scipy. Each check runs in
+a fresh interpreter, since the test process itself may have imported numpy
+and scipy already.
 """
 
 import json
@@ -14,9 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dynred
 from dynred import engines
 from dynred.generators import random_bipartite, random_cnf
+from dynred.pair_listing import dump_instance, gen_tripartite_instance
 
 SRC = str(Path(dynred.__file__).resolve().parent.parent)
 
@@ -73,3 +79,55 @@ def test_matching_run_loads_no_scipy(tmp_path):
         " 'queries': json.loads(out.getvalue())['counters']['queries'],"
         " 'scipy': sorted(m for m in sys.modules if m.startswith('scipy'))}))")
     assert got == {"code": 0, "queries": 16, "scipy": []}
+
+
+def test_importing_cli_and_verify_loads_no_numpy():
+    got = _fresh("import sys, json\n"
+                 "import dynred.cli, dynred.verify\n"
+                 "print(json.dumps(sorted(m for m in sys.modules"
+                 " if m.startswith('numpy'))))")
+    assert got == []
+
+
+def _run_loads(path, reduction: str) -> dict:
+    """A fresh `dynred run` of reduction on path: its exit code, query
+    count, and whether numpy and scipy were loaded."""
+    return _fresh(
+        "import sys, json, io, contextlib\n"
+        "from dynred import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main(['run', '--reduction', {reduction!r},"
+        f" '--input', {str(path)!r}, '--mode', 'full'])\n"
+        "print(json.dumps({'code': code,"
+        " 'queries': json.loads(out.getvalue())['counters']['queries'],"
+        " 'numpy': 'numpy' in sys.modules,"
+        " 'scipy': any(m.startswith('scipy') for m in sys.modules)}))")
+
+
+def _instance(tmp_path, reduction: str):
+    if reduction in ("ssr", "diam"):
+        path, text = tmp_path / "f.cnf", random_cnf(random.Random(3), 6, 12).to_text()
+    elif reduction == "tri-pp":
+        path = tmp_path / "g.graph"
+        text = random_bipartite(random.Random(4), 10, 10, 0.3).to_text()
+    else:
+        path = tmp_path / "t.inst"
+        text = dump_instance(gen_tripartite_instance(4, 2, 0.5, seed=9))
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("reduction", ["ssr", "tri-pp", "3sum-listpairs"])
+def test_runs_without_numpy_kernels_load_neither(tmp_path, reduction):
+    got = _run_loads(_instance(tmp_path, reduction), reduction)
+    assert got["code"] == 0
+    assert got["queries"] > 0
+    assert (got["numpy"], got["scipy"]) == (False, False)
+
+
+def test_diameter_run_loads_numpy_but_no_scipy(tmp_path):
+    got = _run_loads(_instance(tmp_path, "diam"), "diam")
+    assert got["code"] == 0
+    assert got["queries"] > 0
+    assert (got["numpy"], got["scipy"]) == (True, False)

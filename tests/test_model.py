@@ -109,6 +109,18 @@ def test_graph_mutation_guards():
     assert g.edge_count == 0
 
 
+def test_left_side_builds_no_right_list():
+    g = Graph(6)
+    for u, v in ((0, 1), (1, 2), (3, 4)):
+        g.add_edge(u, v)
+    assert g.left_side() == [0, 2, 3, 5]
+    g.add_edge(2, 5)  # joins an isolated node: the view is kept, lists go
+    g.remove_edge(3, 4)  # isolates both ends
+    assert g.left_side() == [0, 2, 3, 4]
+    assert g._sides._right is None
+    assert g.bipartition() == ([0, 2, 3, 4], [1, 5])
+
+
 def test_graph_equality_ignores_weight_cap():
     a = Graph(2, weighted=True, max_weight=10)
     b = Graph(2, weighted=True, max_weight=99)
