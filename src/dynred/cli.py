@@ -302,7 +302,7 @@ def _cmd_run(args) -> int:
         return 1
     try:
         text = open(args.input, encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"dynred: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
     try:

@@ -56,7 +56,6 @@ from .model import (
     StateError,
     StronglyConnected,
     UnionIsUniverse,
-    _Sides,
 )
 
 
@@ -257,12 +256,12 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
     if not isinstance(instance, expected):
         raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
     if expected is Graph:
-        sides = _check_graph_shape(kind, instance)
+        _check_graph_shape(kind, instance)
         if instance.node_count > limits.max_state_nodes():
             raise GuardError(f"{instance.node_count} nodes exceed the state cap")
         state.graph = instance.copy()
-        if sides is not None:
-            state.graph._adopt_sides(sides)
+        if KINDS[kind].bipartite:
+            state.graph.left_side()  # raises DomainError if not bipartite
         state.counters.preprocess_units = instance.node_count + instance.edge_count
         if scope is not None:
             raise DomainError("scope applies only to set-system kinds")
@@ -280,9 +279,9 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
     return state
 
 
-def _check_graph_shape(kind: ProblemKind, g: Graph) -> _Sides | None:
-    """Raise DomainError unless g fits kind. For a bipartite kind, returns
-    g's bipartition view, which engine_new hands to its copy of g."""
+def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
+    """Raise DomainError unless g fits kind; engine_new checks that a
+    bipartite kind's graph is bipartite."""
     spec, name = KINDS[kind], kind.value
     if spec.directed is not None and bool(g.directed) != spec.directed:
         orientation = "a directed" if spec.directed else "an undirected"
@@ -301,9 +300,6 @@ def _check_graph_shape(kind: ProblemKind, g: Graph) -> _Sides | None:
     if spec.weighted is not None and bool(g.weighted) != spec.weighted:
         weights = "a weighted" if spec.weighted else "an unweighted"
         raise DomainError(f"{name} needs {weights} graph")
-    if spec.bipartite:
-        return _Sides(g.adjacency()[0])  # raises DomainError if not bipartite
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,9 @@ class Graph:
         self._adj: list[set[int]] = [set() for _ in range(node_count)]
         self._w: dict[tuple[int, int], int] = {}
         # Kept views, each built on first use: arc_columns() as (key -> row,
-        # sources, targets), which every edge update keeps at once (so that
-        # a rollback pops the rows a stage appended, leaving the source
-        # column as sorted as it was), and ascending_rows() and
-        # bipartition(), which catch up at their next read with _pending,
-        # the edge keys toggled since (in first-touch order). _kept is true
-        # once any view is kept.
-        self._kept = False
+        # sources, targets), ascending_rows() and bipartition(). All catch
+        # up at their next read with _pending, the edge keys toggled since
+        # (in first-touch order), which is None until a view is kept.
         self._arcs: tuple[dict, array, array] | None = None
         self._rows: list[list[int]] | None = None
         self._sides: _Sides | None = None
@@ -175,8 +171,8 @@ class Graph:
         if not directed:
             self._adj[v].add(u)
         self.edge_count += 1
-        if self._kept:
-            self._kept_add(key)
+        if self._pending is not None:
+            self._toggle(key)
 
     def remove_edge(self, u: int, v: int) -> int | None:
         check_edge_ids(u, v, self.node_count)
@@ -189,8 +185,8 @@ class Graph:
         if not directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
-        if self._kept:
-            self._kept_remove(key)
+        if self._pending is not None:
+            self._toggle(key)
         return w if self.weighted else None
 
     # Unchecked edits for engine rollback: each restores an edge state the
@@ -204,8 +200,8 @@ class Graph:
         if not self.directed:
             self._adj[v].add(u)
         self.edge_count += 1
-        if self._kept:
-            self._kept_add(key)
+        if self._pending is not None:
+            self._toggle(key)
 
     def _unlink(self, u: int, v: int) -> None:
         """Remove edge (u, v), which add_edge inserted."""
@@ -215,34 +211,10 @@ class Graph:
         if not self.directed:
             self._adj[v].discard(u)
         self.edge_count -= 1
-        if self._kept:
-            self._kept_remove(key)
+        if self._pending is not None:
+            self._toggle(key)
 
     # -- kept views
-
-    def _kept_add(self, key: tuple[int, int]) -> None:
-        arcs = self._arcs
-        if arcs is not None:
-            rows, src, dst = arcs
-            rows[key] = len(src)
-            src.append(key[0])
-            dst.append(key[1])
-        if self._pending is not None:
-            self._toggle(key)
-
-    def _kept_remove(self, key: tuple[int, int]) -> None:
-        arcs = self._arcs
-        if arcs is not None:  # drop key's row; the last row moves into its place
-            rows, src, dst = arcs
-            i = rows.pop(key)
-            u = src.pop()
-            v = dst.pop()
-            if i < len(src):
-                src[i] = u
-                dst[i] = v
-                rows[u, v] = i
-        if self._pending is not None:
-            self._toggle(key)
 
     def _toggle(self, key: tuple[int, int]) -> None:
         pending = self._pending
@@ -252,23 +224,28 @@ class Graph:
             pending[key] = None
 
     def _catch_up(self) -> None:
-        """Catch the rows and the sides up, or start noting toggles for them."""
+        """Catch the kept views up, or start noting toggles for them."""
         if self._pending is None:
             self._pending = {}
-            self._kept = True
         else:
             self._sync()
 
     def _sync(self) -> None:
-        """Apply each pending edge toggle to the rows and the sides."""
+        """Apply each pending edge toggle to the kept views: the only place
+        a built view changes."""
         pending = self._pending
         if not pending:
             return
+        at, src, dst = self._arcs or (None, None, None)
         rows, sides = self._rows, self._sides
         present, directed = self._w, self.directed
         for key in pending:
             u, v = key
             if key in present:
+                if at is not None:
+                    at[key] = len(src)
+                    src.append(u)
+                    dst.append(v)
                 if rows is not None:
                     insort(rows[u], v)
                     if not directed:
@@ -276,6 +253,12 @@ class Graph:
                 if sides is not None and not sides.link(u, v):
                     sides = None
             else:
+                if at is not None:  # the last row moves into key's place
+                    i = at.pop(key)
+                    x, y = src.pop(), dst.pop()
+                    if i < len(src):
+                        src[i], dst[i] = x, y
+                        at[x, y] = i
                 if rows is not None:
                     rows[u].remove(v)
                     if not directed:
@@ -322,27 +305,27 @@ class Graph:
         edge in no particular order; an arc per row on a directed graph.
 
         A kept view, as ascending_rows() and bipartition() are: the first
-        call builds it, and from then on every edge update keeps it, so
-        later calls cost nothing; copy() does not carry kept views. The
-        columns are the graph's own: callers must not mutate them, and must
-        release any buffer view of them (a numpy frombuffer array) before
-        the graph changes, or the change raises BufferError.
+        call builds it, and each later call catches it up with the edges
+        whose state changed since the last read of any kept view; an edge
+        deleted and put back in between costs nothing. copy() does not carry
+        kept views. The columns are the graph's own: callers must not mutate
+        them, and must release any buffer view of them (a numpy frombuffer
+        array) before the next read of any kept view, which may resize them
+        and would then raise BufferError.
         """
+        self._catch_up()
         if self._arcs is None:
             keys = list(self._w)
             self._arcs = ({key: i for i, key in enumerate(keys)},
                           array("i", [u for u, _ in keys]),
                           array("i", [v for _, v in keys]))
-            self._kept = True
         return self._arcs[1], self._arcs[2]
 
     def ascending_rows(self) -> list[list[int]]:
         """rows[u] lists out_neighbors(u) in ascending order, so code that
         iterates neighbours gets the same result on equal graphs whatever
-        their history. A kept view (see arc_columns()) that catches up at
-        each call with the edges whose state changed since the last one: an
-        edge deleted and put back in between costs nothing. The lists are
-        the graph's own, and callers must not mutate them.
+        their history. A kept view that catches up as arc_columns() does.
+        The lists are the graph's own, and callers must not mutate them.
         """
         self._catch_up()
         if self._rows is None:
@@ -362,25 +345,19 @@ class Graph:
         call rebuilds it with one BFS. The lists are the graph's own, and
         callers must not mutate them.
         """
-        return self._kept_sides().lists()
+        return self._sides_view().lists()
 
     def left_side(self) -> list[int]:
         """The left list of bipartition(), without building the right one."""
-        return self._kept_sides().left_list()
+        return self._sides_view().left_list()
 
-    def _kept_sides(self) -> "_Sides":
+    def _sides_view(self) -> "_Sides":
         if self.directed:
             raise DomainError("bipartition is defined on undirected graphs")
         self._catch_up()
         if self._sides is None:
             self._sides = _Sides(self._adj)
         return self._sides
-
-    def _adopt_sides(self, sides: "_Sides") -> None:
-        """Keep sides, built on a graph with this graph's edges, as the
-        bipartition() view."""
-        self._catch_up()
-        self._sides = sides
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._w.keys())
@@ -608,6 +585,9 @@ def parse_graph(text: str) -> Graph:
         weighted = True
     if n < 0 or m < 0:
         raise ParseError("negative counts in header", ln_no)
+    from .limits import max_state_nodes  # limits imports this module
+    if n > max_state_nodes():  # before Graph(n) allocates per node
+        raise GuardError(f"header declares {n} nodes, over the state cap")
     g = Graph(n, directed=(toks[2] == "directed"), weighted=weighted,
               max_weight=(1 if weighted else None))
     g.max_weight = None  # set after all weights are read
@@ -759,6 +739,15 @@ class SetSystem:
         self.masks: list[int] = []
         for members in sets:
             self.append_set(members)
+
+    @classmethod
+    def from_masks(cls, universe_size: int, masks: Iterable[int]) -> "SetSystem":
+        """The system whose set i is masks[i], range-checked as append_set is."""
+        out = cls(universe_size)
+        out.masks = list(masks)
+        if any(m < 0 or m >> universe_size for m in out.masks):
+            raise DomainError("set member outside universe")
+        return out
 
     def append_set(self, members: Iterable[int]) -> int:
         size = self.universe_size

@@ -63,6 +63,8 @@ class TripartiteInstance:
     def validate(self) -> None:
         if self.n_c < 1 or self.r < 1 or self.side < 1:
             raise DomainError("parts must be nonempty")
+        if self.side > TRIPARTITE_MAX_SIDE:
+            raise GuardError(f"side {self.side} exceeds {TRIPARTITE_MAX_SIDE}")
         for a, b in self.e_ab:
             if not (0 <= a < self.side and 0 <= b < self.side):
                 raise DomainError(f"ab edge ({a},{b}) out of range")
@@ -99,8 +101,7 @@ def gen_tripartite_instance(n_c: int, r: int, density: float, seed: int) -> Trip
     if not 0 <= density <= 1:
         raise DomainError(f"density {density} outside [0, 1]")
     side = _derived_side(n_c, r)
-    if side > TRIPARTITE_MAX_SIDE:
-        raise GuardError(f"side {side} exceeds {TRIPARTITE_MAX_SIDE}")
+    TripartiteInstance(n_c=n_c, r=r, side=side).validate()  # the cap, before any draw
     rng = random.Random(seed)
     degree_cap = -(-CAP_FACTOR * n_c // r)
     parts = []

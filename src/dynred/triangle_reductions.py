@@ -442,12 +442,13 @@ def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
     delta = _cube_ceil(m)
     deg = [g.degree(v) for v in range(n)]
     nbrs = [sorted(g.out_neighbors(v)) for v in range(n)]
+    full = (1 << n) - 1
 
     high = [v for v in range(n) if deg[v] >= delta]
     if high:
         index = {j: i for i, j in enumerate(high)}
-        high_sets = [[a for a in range(n) if not g.has_edge(j, a)] for j in high]
-        handle = factory(ProblemKind.PP, Mode.FULL, SetSystem(n, high_sets))
+        high_sets = [full ^ sum(1 << c for c in nbrs[j]) for j in high]  # non-neighbours
+        handle = factory(ProblemKind.PP, Mode.FULL, SetSystem.from_masks(n, high_sets))
         folded = _fold_sets(handle, [[index[c] for c in nbrs[b] if deg[c] >= delta]
                                      for b in range(n)])
         hit = False
@@ -473,10 +474,12 @@ def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
         def hashed(x: int, mul=mul, add=add) -> int:
             return ((mul * x + add) & _MASK64) >> (64 - bits)
 
-        image = [{hashed(c) for c in nbrs[a]} for a in range(n)]
-        hash_sets = [[a for a in range(n) if j not in image[a]]
-                     for j in range(buckets)]
-        handle = factory(ProblemKind.PP, Mode.FULL, SetSystem(n, hash_sets))
+        covered = [0] * buckets  # covered[j]: the vertices with a neighbour hashed to j
+        for a in range(n):
+            for c in nbrs[a]:
+                covered[hashed(c)] |= 1 << a
+        handle = factory(ProblemKind.PP, Mode.FULL,
+                         SetSystem.from_masks(n, [full ^ h for h in covered]))
         folded = _fold_sets(handle, [[hashed(c) for c in nbrs[b]] for b in range(n)])
         survivors = []
         for a, b in suspects:

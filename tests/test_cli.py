@@ -193,6 +193,32 @@ def test_verify_negative_trials_exits_64(capsys):
     assert code == 64
 
 
+def test_non_utf8_input_exits_1_as_unreadable(capsys, tmp_path):
+    p = tmp_path / "bad.graph"
+    p.write_bytes(b"\xff\xfe3 3 undirected\n")
+    code = main(["run", "--reduction", "tri-streach", "--input", str(p)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"cannot read {p}" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("3sum-listpairs", "parts 513 1 1\n", "side 513 exceeds 512"),
+    ("tri-streach", "11 0 undirected\n", "header declares 11 nodes"),
+], ids=["tripartite-side", "graph-header"])
+def test_declared_sizes_over_their_caps_exit_1(capsys, tmp_path, monkeypatch,
+                                              name, text, message):
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "10")
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    code = main(["run", "--reduction", name, "--input", str(p)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_weighted_graph_required_for_mwt(capsys, k3_file):
     code, _ = run_cli(capsys, "run", "--reduction", "mwt-stsp",
                       "--input", k3_file)

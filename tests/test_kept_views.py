@@ -10,6 +10,7 @@ and after batches of ops.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,8 +20,11 @@ from dynred.engines import (
     ProblemKind,
     compute_kaug_free_matching,
     direct_factory,
+    engine_checkpoint,
     engine_new,
     engine_query,
+    engine_rollback,
+    engine_update,
     inverse,
     run_stage,
 )
@@ -32,6 +36,7 @@ from dynred.model import (
     InsertEdge,
     KAugFreeMatchingSize,
     MaxWeightPmWeight,
+    _Sides,
 )
 
 
@@ -267,7 +272,7 @@ def test_copy_carries_no_view():
     g.add_edge(0, 1)
     g.bipartition()
     h = g.copy()
-    assert (h._kept, h._rows, h._sides, h._pending) == (False, None, None, None)
+    assert (h._arcs, h._rows, h._sides, h._pending) == (None, None, None, None)
     h.add_edge(2, 3)
     _check_views(g)
     _check_views(h)
@@ -282,3 +287,93 @@ def test_directed_graph_has_no_bipartition():
     g.add_edge(0, 2)
     g.add_edge(2, 0)
     assert g.ascending_rows() == [[1, 2], [], [0]]
+
+
+# -- all three views on one graph, read in any order
+
+
+def _check_columns(g: Graph) -> None:
+    src, dst = g.arc_columns()
+    assert Counter(zip(src, dst)) == Counter(list(g.adjacency()[1]))  # the _w keys
+
+
+def _check_rows(g: Graph) -> None:
+    assert g.ascending_rows() == [sorted(a) for a in g.adjacency()[0]]
+
+
+def _check_sides(g: Graph) -> None:
+    try:
+        fresh = _Sides(g.adjacency()[0])
+    except DomainError:
+        with pytest.raises(DomainError):
+            g.bipartition()
+        return
+    assert g.bipartition() == fresh.lists()
+
+
+@pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+@pytest.mark.parametrize("seed", range(8))
+def test_interleaved_views_equal_fresh_builds(seed, directed):
+    """Random inserts and deletes through add_edge/remove_edge and the
+    unchecked _link/_unlink, and nested checkpoint rollbacks (which undo
+    through _link/_unlink), with the views read in random order at random
+    times. The columns are first read only after some toggles are pending
+    for the views read before them."""
+    rng = random.Random(f"interleaved/{directed}/{seed}")
+    n = rng.randint(6, 16)
+    kind = ProblemKind.SC if directed else ProblemKind.DIAMETER
+    state = engine_new(kind, Mode.FULL, Graph(n, directed=directed))
+    g = state.graph
+    checks = [_check_columns, _check_rows] + ([] if directed else [_check_sides])
+    columns_from = rng.randrange(20, 120)
+    live = []
+    for step in range(400):
+        r = rng.random()
+        if r < 0.08:
+            live.append((engine_checkpoint(state), g.copy()))
+        elif r < 0.16 and live:
+            i = rng.randrange(len(live))
+            cp, before = live[i]
+            del live[i:]  # a rollback consumes every later checkpoint
+            engine_rollback(state, cp)
+            assert g == before
+        else:
+            edges = g.edges()
+            if edges and (rng.random() < 0.45 or len(edges) >= 2 * n):
+                u, v = rng.choice(edges)
+                if live or rng.random() < 0.5:  # an unlogged edit would
+                    engine_update(state, DeleteEdge(u, v))  # break a rollback
+                else:
+                    g._unlink(u, v)
+            else:
+                u, v = rng.sample(range(n), 2)
+                if g.has_edge(u, v):
+                    continue
+                if live or rng.random() < 0.5:
+                    engine_update(state, InsertEdge(u, v))
+                else:
+                    g._link(u, v, None)
+        if step == columns_from:
+            _check_columns(g)
+        for check in rng.sample(checks, rng.randint(0, len(checks))):
+            if check is not _check_columns or step > columns_from:
+                check(g)
+    for check in checks:
+        check(g)
+
+
+def test_columns_first_read_while_rows_hold_pending_toggles():
+    g = Graph(6, directed=True)
+    for u, v in ((0, 1), (1, 2), (2, 0), (3, 4)):
+        g.add_edge(u, v)
+    _check_rows(g)
+    g.remove_edge(1, 2)
+    g.add_edge(4, 5)
+    g.add_edge(1, 2)  # toggled back: cancels
+    assert list(g._pending) == [(4, 5)] and g._arcs is None
+    _check_columns(g)
+    assert not g._pending
+    g.remove_edge(0, 1)  # now a swap-remove in the built columns
+    g.add_edge(5, 3)
+    _check_columns(g)
+    _check_rows(g)

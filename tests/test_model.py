@@ -8,6 +8,7 @@ from dynred.model import (
     CostCounters,
     DomainError,
     Graph,
+    GuardError,
     ParseError,
     RunReport,
     SetSystem,
@@ -68,6 +69,21 @@ def test_parse_graph_triangle():
     assert not g.directed and not g.weighted
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_parse_graph_checks_declared_nodes_before_building(monkeypatch):
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "10")
+    assert parse_graph("10 0 undirected\n").node_count == 10
+    with pytest.raises(GuardError, match="header declares 11 nodes"):
+        parse_graph("11 0 undirected\n")
+
+
+def test_set_system_from_masks_is_range_checked():
+    ss = SetSystem.from_masks(4, [0b1010, 0, 0b1111])
+    assert ss == SetSystem(4, [[1, 3], [], range(4)])
+    for bad in (0b10000, -1):
+        with pytest.raises(DomainError, match="outside universe"):
+            SetSystem.from_masks(4, [bad])
 
 
 def test_parse_graph_directed_weighted():

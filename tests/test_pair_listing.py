@@ -90,6 +90,14 @@ def test_validate_rejects_cap_violations():
         out_of_range.validate()
 
 
+def test_loaded_side_is_checked_against_its_cap():
+    from dynred.pair_listing import load_instance
+
+    assert load_instance("parts 512 1 1\n").side == 512
+    with pytest.raises(GuardError, match="side 513 exceeds 512"):
+        load_instance("parts 513 1 1\n")
+
+
 def test_dump_load_roundtrip():
     for inst in INSTANCES[:6]:
         assert load_instance_roundtrip(inst) == inst
