@@ -11,9 +11,10 @@ The package has three layers:
   detection, minimum-weight triangle and triangle listing through those
   engines, counting every update and query they spend.
 
-verify.py bundles randomized oracle-equivalence and counter-bound suites
-over all of the above, and cli.py exposes everything as the `dynred`
-command.
+reductions.py holds the one table of those pipelines (loader, modes,
+runner, oracle) that both verify.py and cli.py read. verify.py bundles
+randomized oracle-equivalence and counter-bound suites over all of the
+above, and cli.py exposes everything as the `dynred` command.
 """
 
 __version__ = "0.1.0"

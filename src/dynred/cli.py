@@ -2,10 +2,11 @@
 randomized verification suites. Every run prints a single JSON document on
 stdout and reports its seed, so any result can be replayed exactly.
 
-Exit codes: 0 success, 1 bad input (unreadable file, parse or domain error),
-2 answer/oracle mismatch under --oracle-check, 3 internal error (a fault of
-the program, not of the input; the traceback goes to stderr), 64 usage
-error (unknown reduction name, bad flags).
+Exit codes: 0 success, 1 bad input (unreadable file, parse, domain or guard
+error), 2 answer/oracle mismatch under --oracle-check, 3 internal error (a
+fault of the program, not of the input, such as a StateError or ModeError
+inside a run; the traceback goes to stderr), 64 usage error (unknown
+reduction name, bad flags).
 """
 
 from __future__ import annotations
@@ -17,217 +18,22 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .minweight_reductions import (
-    min_weight_triangle_via_bwm,
-    min_weight_triangle_via_stsp,
-)
 from .model import (
-    CostCounters,
     DomainError,
     GuardError,
-    ModeError,
     ParseError,
     RunReport,
-    StateError,
     emit_report,
     parse_cnf,
     parse_graph,
 )
-from .oracles import oracle_min_weight_triangle, oracle_sat, oracle_triangle
-from .pair_listing import (
-    OVERFLOW,
-    brute_force_pairs,
-    brute_force_triangles,
-    build_subconn_probe,
-    decremental_trace_adapter,
-    dump_instance,
-    list_pairs,
-    load_instance,
-    pairs_to_triangles,
-)
-from .sat_reductions import (
-    sat_via_appx_scc,
-    sat_via_diam,
-    sat_via_empty_pp,
-    sat_via_max_scc,
-    sat_via_sc2,
-    sat_via_ssr,
-    sat_via_st_reach,
-    sat_via_subunion,
-)
-from .triangle_reductions import (
-    split_by_degree,
-    triangle_via_17bpm,
-    triangle_via_5bpm,
-    triangle_via_empty_pp,
-    triangle_via_pp,
-    triangle_via_streach,
-    triangle_via_streach_decremental,
-    triangle_via_subconn,
-)
-from .verify import SUITE_NAMES, _min_triangle_vertex, run_suite
-from .wrappers import subunion_via_connsub
+from .pair_listing import dump_instance, load_instance
+from .reductions import MODES, REDUCTIONS
+from .verify import SUITE_NAMES, run_suite
 
-_INPUT_ERRORS = (ParseError, DomainError, GuardError, StateError, ModeError)
-
-_ALL_MODES = ("full", "inc", "dec")
-
-
-@dataclass(frozen=True)
-class _Entry:
-    loader: str  # cnf | graph | tripartite
-    modes: tuple
-    default_mode: str
-    run: object  # (instance, mode, ctx) -> (answer, counters)
-    oracle: object  # (instance) -> expected answer
-    agree: object = None  # optional (answer, expected, ctx) -> bool
-
-
-def _sat_entry(fn, modes=_ALL_MODES, **fixed):
-    def run(f, mode, ctx):
-        kw = dict(fixed)
-        if ctx["delta"] is not None:
-            kw["delta"] = ctx["delta"]
-        return fn(f, mode=mode, **kw)
-
-    return _Entry("cnf", modes, "full", run, lambda f, ctx: oracle_sat(f))
-
-
-def _anchor_entry(fn, modes):
-    def run(g, mode, ctx):
-        return fn(g, mode=mode)
-
-    return _Entry("graph", modes, "full", run,
-                  lambda g, ctx: _min_triangle_vertex(g))
-
-
-def _exists_oracle(g, ctx):
-    return oracle_triangle(g) is not None
-
-
-def _split_run(g, mode, ctx):
-    dense_cost = CostCounters()
-
-    def dense(sub):
-        anchor, c = triangle_via_streach(sub)
-        dense_cost.absorb(c)
-        return anchor
-
-    witness = split_by_degree(g, isqrt(len(g.edges())), dense)
-    if witness is None:
-        answer = None
-    elif witness.u is not None:
-        answer = [witness.u, witness.v, witness.w]
-    else:
-        answer = [witness.anchor]
-    return answer, dense_cost
-
-
-def _split_oracle(g, ctx):
-    t = oracle_triangle(g)
-    return None if t is None else list(t[:3])
-
-
-def _presence_agree(answer, expected, ctx):
-    # Witnesses are verified where they are produced; any valid triangle
-    # (not necessarily the oracle's) is a correct answer.
-    return (answer is None) == (expected is None)
-
-
-def _mwt_entry(runner):
-    def run(g, mode, ctx):
-        return runner(g, mode=mode)
-
-    def orc(g, ctx):
-        t = oracle_min_weight_triangle(g)
-        return None if t is None else t.weight
-
-    return _Entry("graph", ("inc", "dec"), "dec", run, orc)
-
-
-def _resolve_pair_cap(inst, ctx):
-    q = ctx["delta"]
-    if q is None:
-        cap = inst.delta
-    else:
-        if q.denominator != 1 or q < 0:
-            raise DomainError("pair cap must be a nonnegative integer")
-        cap = int(q)
-    ctx["pair_cap"] = cap
-    return cap
-
-
-def _listing_run(convert):
-    """The runner of a pair-listing reduction whose answer is
-    convert(inst, pairs), or OVERFLOW past the pair cap."""
-    def run(inst, mode, ctx):
-        cap = _resolve_pair_cap(inst, ctx)
-        probe = (decremental_trace_adapter(inst) if mode == "dec"
-                 else build_subconn_probe(inst))
-        pairs, c = list_pairs(inst, probe, delta=cap)
-        if pairs == OVERFLOW:
-            return OVERFLOW, c
-        return [list(p) for p in convert(inst, pairs)], c
-    return run
-
-
-def _pairs_agree(answer, expected, ctx):
-    if answer == OVERFLOW:
-        return len(ctx["brute_pairs"]) > ctx["pair_cap"]
-    return answer == expected
-
-
-def _pairs_oracle(inst, ctx):
-    ctx["brute_pairs"] = brute_force_pairs(inst)
-    return [list(p) for p in ctx["brute_pairs"]]
-
-
-def _triangles_oracle(inst, ctx):
-    ctx["brute_pairs"] = brute_force_pairs(inst)
-    return [list(t) for t in brute_force_triangles(inst)]
-
-
-REDUCTIONS: dict[str, _Entry] = {
-    "ssr": _sat_entry(sat_via_ssr),
-    "sc2": _sat_entry(sat_via_sc2),
-    "appx-scc": _sat_entry(sat_via_appx_scc),
-    "max-scc": _sat_entry(sat_via_max_scc),
-    "st-reach": _sat_entry(sat_via_st_reach),
-    "diam": _sat_entry(sat_via_diam),
-    "subunion": _sat_entry(sat_via_subunion),
-    "connsub": _sat_entry(sat_via_subunion, factory=subunion_via_connsub()),
-    "empty-pp": _sat_entry(sat_via_empty_pp, modes=("full",)),
-    "tri-streach": _anchor_entry(triangle_via_streach, ("full", "inc")),
-    "tri-streach-dec": _Entry(
-        "graph", ("dec",), "dec",
-        lambda g, mode, ctx: triangle_via_streach_decremental(g),
-        lambda g, ctx: _min_triangle_vertex(g)),
-    "tri-subconn": _anchor_entry(triangle_via_subconn, _ALL_MODES),
-    "tri-5bpm": _anchor_entry(triangle_via_5bpm, _ALL_MODES),
-    "tri-17bpm": _anchor_entry(triangle_via_17bpm, _ALL_MODES),
-    "tri-empty-pp": _Entry(
-        "graph", ("full",), "full",
-        lambda g, mode, ctx: triangle_via_empty_pp(g),
-        _exists_oracle),
-    "tri-pp": _Entry(
-        "graph", ("full",), "full",
-        lambda g, mode, ctx: triangle_via_pp(g, seed=ctx["seed"]),
-        _exists_oracle),
-    "tri-split": _Entry("graph", ("full",), "full", _split_run,
-                        _split_oracle, _presence_agree),
-    "mwt-stsp": _mwt_entry(min_weight_triangle_via_stsp),
-    "mwt-bwm": _mwt_entry(min_weight_triangle_via_bwm),
-    "3sum-listpairs": _Entry("tripartite", ("full", "dec"), "full",
-                             _listing_run(lambda inst, pairs: pairs),
-                             _pairs_oracle, _pairs_agree),
-    "3sum-triangles": _Entry("tripartite", ("full", "dec"), "full",
-                             _listing_run(pairs_to_triangles),
-                             _triangles_oracle, _pairs_agree),
-}
+_INPUT_ERRORS = (ParseError, DomainError, GuardError)
 
 _LOADERS = {
     "cnf": parse_cnf,
@@ -263,8 +69,9 @@ def _build_parser() -> _Parser:
                       choices=sorted(REDUCTIONS), metavar="NAME",
                       help=f"one of: {', '.join(sorted(REDUCTIONS))}")
     runp.add_argument("--input", required=True, help="instance file path")
-    runp.add_argument("--mode", choices=_ALL_MODES,
-                      help="update regime (default depends on the reduction)")
+    runp.add_argument("--mode", choices=MODES,
+                      help="update regime (default full where the "
+                           "reduction has it, else dec)")
     runp.add_argument("--delta",
                       help="split fraction for the formula reductions "
                            "(e.g. 1/2); pair cap for the listing reductions; "
@@ -295,7 +102,7 @@ def _parse_delta(text: str | None) -> Fraction | None:
 
 def _cmd_run(args) -> int:
     entry = REDUCTIONS[args.reduction]
-    mode = args.mode or entry.default_mode
+    mode = args.mode or ("full" if "full" in entry.modes else "dec")
     if mode not in entry.modes:
         print(f"dynred: {args.reduction} supports modes "
               f"{'/'.join(entry.modes)}, not {mode!r}", file=sys.stderr)

@@ -257,8 +257,6 @@ def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
         raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
     if expected is Graph:
         _check_graph_shape(kind, instance)
-        if instance.node_count > limits.max_state_nodes():
-            raise GuardError(f"{instance.node_count} nodes exceed the state cap")
         state.graph = instance.copy()
         if KINDS[kind].bipartite:
             state.graph.left_side()  # raises DomainError if not bipartite

@@ -35,7 +35,7 @@ MAX_STATE_NODES = 5_000_000
 def max_state_nodes() -> int:
     """The node budget: REDUX_MAX_STATE_NODES when set, else MAX_STATE_NODES.
 
-    Read at each use, so a malformed value fails the engine construction
+    Read at each use, so a malformed value fails the graph construction
     that needs it with a DomainError, not the import of the package.
     """
     raw = os.environ.get("REDUX_MAX_STATE_NODES")

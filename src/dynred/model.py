@@ -116,6 +116,9 @@ class Graph:
     ):
         if node_count < 0:
             raise DomainError("node_count must be nonnegative")
+        from .limits import max_state_nodes  # limits imports this module
+        if node_count > max_state_nodes():  # before any per-node list exists
+            raise GuardError(f"{node_count} nodes exceed the state cap")
         if weighted and max_weight is not None and max_weight < 1:
             raise DomainError("max_weight must be >= 1")
         self.node_count = node_count

@@ -56,29 +56,21 @@ from .pair_listing import (
     list_pairs,
     pairs_to_triangles,
 )
+from .reductions import REDUCTIONS, anchor_oracle
 from .sat_reductions import (
     _engine_digest,
     build_fail_table,
     sat_via_appx_scc,
-    sat_via_diam,
-    sat_via_empty_pp,
-    sat_via_max_scc,
     sat_via_sc2,
     sat_via_ssr,
-    sat_via_st_reach,
-    sat_via_subunion,
 )
 from .triangle_reductions import (
     split_by_degree,
-    triangle_via_17bpm,
-    triangle_via_5bpm,
     triangle_via_empty_pp,
     triangle_via_pp,
     triangle_via_streach,
-    triangle_via_streach_decremental,
-    triangle_via_subconn,
 )
-from .wrappers import WRAPPERS, subunion_via_connsub
+from .wrappers import WRAPPERS
 
 SUITE_NAMES = ("seth", "triangle", "apsp", "threesum", "engines")
 
@@ -87,18 +79,6 @@ MAX_VIOLATION_DETAILS = 25
 
 # ---------------------------------------------------------------------------
 # satisfiability suite
-
-
-_SAT_MODAL = (
-    ("ssr", sat_via_ssr),
-    ("sc2", sat_via_sc2),
-    ("max-scc", sat_via_max_scc),
-    ("st-reach", sat_via_st_reach),
-    ("diam", sat_via_diam),
-    ("subunion", sat_via_subunion),
-)
-
-_SAT_MODES = ("full", "inc", "dec")
 
 
 def seth_trial(rng: random.Random, max_n: int):
@@ -111,24 +91,18 @@ def seth_trial(rng: random.Random, max_n: int):
     k = rng.choice((2, 3, 4))
     note = f"n={n} m={m} want={want}"
 
-    for name, fn in _SAT_MODAL:
-        if name in ("st-reach", "diam") and n < 2:
+    # entries are looked up at each call, so a replaced entry is the one run
+    for name, entry in REDUCTIONS.items():
+        if entry.loader != "cnf" or (name in ("st-reach", "diam") and n < 2):
             continue  # two-block split needs at least two variables
-        for mode in _SAT_MODES:
-            got, _ = fn(f, mode=mode)
-            checks.append((f"answer:{name}", got == want,
-                           f"{note} mode={mode} got={got}"))
-    for mode in _SAT_MODES:
-        got, _ = sat_via_appx_scc(f, k=k, mode=mode)
-        checks.append(("answer:appx-scc", got == want,
-                       f"{note} mode={mode} k={k} got={got}"))
-    got, _ = sat_via_empty_pp(f)
-    checks.append(("answer:empty-pp", got == want, f"{note} got={got}"))
-    for mode in _SAT_MODES:
-        got, _ = sat_via_subunion(f, mode=mode,
-                                  factory=subunion_via_connsub())
-        checks.append(("answer:connsub", got == want,
-                       f"{note} mode={mode} got={got}"))
+        for mode in entry.modes:
+            if name == "appx-scc":  # with a random clone count
+                got, _ = sat_via_appx_scc(f, k=k, mode=mode)
+                detail = f"{note} mode={mode} k={k} got={got}"
+            else:
+                got, _ = entry.run(f, mode, {"delta": None})
+                detail = f"{note} mode={mode} got={got}"
+            checks.append((f"answer:{name}", got == want, detail))
 
     # Stage isolation: digest drift raises inside the stage loop.
     try:
@@ -157,44 +131,31 @@ def seth_trial(rng: random.Random, max_n: int):
 # triangle-finding suite
 
 
-_ANCHOR_ROUTINES = (
-    ("tri-streach", triangle_via_streach, ("full", "inc")),
-    ("tri-subconn", triangle_via_subconn, ("full", "inc", "dec")),
-    ("tri-5bpm", triangle_via_5bpm, ("full", "inc", "dec")),
-    ("tri-17bpm", triangle_via_17bpm, ("full", "inc", "dec")),
-)
-
-
-def _min_triangle_vertex(g: Graph):
-    tris = oracle_all_triangles(g)
-    return min(min(t[:3]) for t in tris) if tris else None
-
-
 def triangle_trial(rng: random.Random, max_n: int):
     """One random graph through every triangle routine and mode."""
     checks = []
     n = rng.randint(2, max(2, min(max_n, 40)))
     p = rng.choice((0.1, 0.2, 0.35, 0.6))
     g = random_graph(rng, n, p)
-    want = _min_triangle_vertex(g)
+    want = anchor_oracle(g)
     note = f"n={n} p={p} want={want}"
 
-    for name, fn, modes in _ANCHOR_ROUTINES:
-        for mode in modes:
-            got, _ = fn(g, mode=mode)
+    for name, entry in REDUCTIONS.items():
+        if entry.oracle is not anchor_oracle:
+            continue
+        for mode in entry.modes:
+            got, c = entry.run(g, mode, {"delta": None})
             checks.append((f"anchor:{name}", got == want,
                            f"{note} mode={mode} got={got}"))
-    got, c = triangle_via_streach_decremental(g)
-    checks.append(("anchor:tri-streach-dec", got == want, f"{note} got={got}"))
-    if want is None:
-        # Full schedule only: an early hit stops with work outstanding.
-        leaves = max(2, 1 << max(0, (n - 1).bit_length()))
-        tree_ops = c.updates + c.rollback_ops
-        checks.append(("tree-op-bound",
-                       tree_ops <= 4 * (2 * leaves - 2)
-                       and c.updates == c.rollback_ops,
-                       f"{note} updates={c.updates} "
-                       f"rollback={c.rollback_ops} leaves={leaves}"))
+        if name == "tri-streach-dec" and want is None:
+            # Full schedule only: an early hit stops with work outstanding.
+            leaves = max(2, 1 << max(0, (n - 1).bit_length()))
+            tree_ops = c.updates + c.rollback_ops
+            checks.append(("tree-op-bound",
+                           tree_ops <= 4 * (2 * leaves - 2)
+                           and c.updates == c.rollback_ops,
+                           f"{note} updates={c.updates} "
+                           f"rollback={c.rollback_ops} leaves={leaves}"))
 
     got, _ = triangle_via_empty_pp(g)
     checks.append(("exists:tri-empty-pp", got == (want is not None),

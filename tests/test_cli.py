@@ -280,6 +280,26 @@ def test_internal_error_exits_3_with_traceback(capsys, tmp_path, monkeypatch):
     assert "ConstructionError: gadget broke its own invariant" in captured.err
 
 
+def test_state_error_inside_a_run_exits_3(capsys, k3_file, monkeypatch):
+    """Loaders turn their own StateError into ParseError, so one raised
+    inside a run is a fault of the program, not of the input."""
+    from dynred import triangle_reductions
+
+    build = triangle_reductions.build_5bpm_gadget
+
+    def broken(g, **kw):
+        h = build(g, **kw)
+        h.add_edge(g.node_count, 0)  # a second copy of a pair edge
+        return h
+
+    monkeypatch.setattr(triangle_reductions, "build_5bpm_gadget", broken)
+    code = main(["run", "--reduction", "tri-5bpm", "--input", k3_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "StateError: duplicate edge" in captured.err
+
+
 @pytest.mark.parametrize("argv,code", [
     (["--help"], 0),
     (["run", "--help"], 0),

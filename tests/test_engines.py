@@ -102,8 +102,8 @@ def test_malformed_state_node_cap_fails_construction_not_import(monkeypatch):
     done = subprocess.run([sys.executable, "-c", "import dynred.engines"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "abc")
     g = build(2, [(0, 1)], directed=True, s=0, t=1)
+    monkeypatch.setenv("REDUX_MAX_STATE_NODES", "abc")
     with pytest.raises(DomainError, match="REDUX_MAX_STATE_NODES"):
         engine_new(ProblemKind.ST_REACH, "full", g)
 
