@@ -1,10 +1,12 @@
 """Dynamic-problem engines.
 
-An engine owns a mutable instance (graph or set system) behind a uniform
-API: engine_new (preprocess), engine_update, engine_query, engine_checkpoint,
-engine_rollback. Queries recompute from current state; what is being measured
-throughout the package is how many updates and queries a reduction spends,
-never how fast a single query runs.
+An engine is one EngineState: it loads (preprocesses) a mutable instance,
+a graph or a set system, and its update, query, checkpoint and rollback are
+the uniform API; engine_new and engine_update etc. are the same class and
+methods under functional names. Reductions hold the subclass DirectEngine
+(see why there). Queries recompute from current state; what is being
+measured throughout the package is how many updates and queries a reduction
+spends, never how fast a single query runs.
 
 Mode legality: insert-type updates are rejected in decremental mode and
 delete-type updates in incremental mode. Rollback is legal in every mode,
@@ -211,12 +213,15 @@ class Checkpoint:
 
 
 class EngineState:
-    """Owned instance plus undo log, live checkpoints and cost counters."""
+    """An engine: the owned instance plus undo log, live checkpoints and
+    cost counters, behind the update, query, checkpoint and rollback calls."""
 
-    def __init__(self, kind: ProblemKind, mode: Mode, graph: Graph | None = None):
-        self.kind = kind
-        self.mode = mode
-        self.graph = graph
+    def __init__(self, kind, mode, instance, *, scope=None):
+        """Load an instance. preprocess_units = nodes + edges (graphs) or
+        universe + total set sizes (set systems)."""
+        self.kind = kind = _as_kind(kind)
+        self.mode = mode = _as_mode(mode)
+        self.graph: Graph | None = None
         self.sets: SetSystem | None = None
         self.scope: set[int] | None = None
         self.counters = CostCounters()
@@ -224,9 +229,73 @@ class EngineState:
         self._answer_fn = KINDS[kind].answer
         self._undo: list[tuple] = []  # (callable, args) pairs
         self._live: list[tuple[Checkpoint, int]] = []  # (cp, log depth), oldest first
+        expected = KINDS[kind].instance
+        if not isinstance(instance, expected):
+            raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
+        if expected is Graph:
+            _check_graph_shape(kind, instance)
+            self.graph = instance.copy()
+            if KINDS[kind].bipartite:
+                self.graph.left_side()  # raises DomainError if not bipartite
+            self.counters.preprocess_units = instance.node_count + instance.edge_count
+            if scope is not None:
+                raise DomainError("scope applies only to set-system kinds")
+        else:
+            self.sets = instance.copy()
+            self.counters.preprocess_units = (
+                instance.universe_size + sum(m.bit_count() for m in instance.masks))
+            if kind is ProblemKind.SUB_UNION:
+                self.scope = set()
+                if scope is not None:
+                    for i in scope:
+                        _scope_add(self, AddToScope(i))
+            elif scope is not None:
+                raise DomainError("scope applies only to sub-union engines")
 
     def __repr__(self):
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
+
+    def update(self, op) -> int | None:
+        """Apply one update. Returns the fresh set id for InsertSet/IntersectSets."""
+        handler = self._apply.get(type(op))
+        if handler is None:  # not in the table
+            reject_update(self.kind, self.mode, op)
+        result = handler(self, op)
+        self.counters.updates += 1
+        return result
+
+    def query(self, q):
+        """Answer q; a query that raises is not counted."""
+        check_query(self.kind, q)
+        answer = self._answer_fn(self, q)
+        self.counters.queries += 1
+        return answer
+
+    def checkpoint(self) -> Checkpoint:
+        cp = Checkpoint()
+        self._live.append((cp, len(self._undo)))
+        return cp
+
+    def rollback(self, cp: Checkpoint) -> None:
+        """Unwind the undo log back to cp, which must be live here (see
+        live_index). Consumes cp and every checkpoint taken after it. Legal
+        in every mode; each undone update counts as one rollback op."""
+        i = live_index(self, cp)
+        undo = self._undo
+        count = len(undo) - self._live[i][1]
+        for _ in range(count):
+            fn, args = undo.pop()
+            fn(*args)
+        self.counters.rollback_ops += count
+        del self._live[i:]
+
+
+# the functional spelling: engine_update(state, op) is state.update(op)
+engine_new = EngineState
+engine_update = EngineState.update
+engine_query = EngineState.query
+engine_checkpoint = EngineState.checkpoint
+engine_rollback = EngineState.rollback
 
 
 def _as_member(enum, value, what: str):
@@ -246,39 +315,8 @@ def _as_kind(kind) -> ProblemKind:
     return _as_member(ProblemKind, kind, "problem kind")
 
 
-def engine_new(kind, mode, instance, *, scope=None) -> EngineState:
-    """Load an instance. preprocess_units = nodes + edges (graphs) or
-    universe + total set sizes (set systems)."""
-    kind = _as_kind(kind)
-    mode = _as_mode(mode)
-    state = EngineState(kind, mode)
-    expected = KINDS[kind].instance
-    if not isinstance(instance, expected):
-        raise DomainError(f"{kind.value} expects a {expected.__name__} instance")
-    if expected is Graph:
-        _check_graph_shape(kind, instance)
-        state.graph = instance.copy()
-        if KINDS[kind].bipartite:
-            state.graph.left_side()  # raises DomainError if not bipartite
-        state.counters.preprocess_units = instance.node_count + instance.edge_count
-        if scope is not None:
-            raise DomainError("scope applies only to set-system kinds")
-    else:
-        state.sets = instance.copy()
-        state.counters.preprocess_units = (
-            instance.universe_size + sum(m.bit_count() for m in instance.masks))
-        if kind is ProblemKind.SUB_UNION:
-            state.scope = set()
-            if scope is not None:
-                for i in scope:
-                    _scope_add(state, AddToScope(i))
-        elif scope is not None:
-            raise DomainError("scope applies only to sub-union engines")
-    return state
-
-
 def _check_graph_shape(kind: ProblemKind, g: Graph) -> None:
-    """Raise DomainError unless g fits kind; engine_new checks that a
+    """Raise DomainError unless g fits kind; EngineState checks that a
     bipartite kind's graph is bipartite."""
     spec, name = KINDS[kind], kind.value
     if spec.directed is not None and bool(g.directed) != spec.directed:
@@ -441,24 +479,8 @@ def reject_update(kind: ProblemKind, mode: Mode, op) -> None:
     raise DomainError(f"unknown update {op!r}")  # a subclass of an op type
 
 
-def engine_update(state: EngineState, op) -> int | None:
-    """Apply one update. Returns the fresh set id for InsertSet/IntersectSets."""
-    handler = state._apply.get(type(op))
-    if handler is None:  # not in the table
-        reject_update(state.kind, state.mode, op)
-    result = handler(state, op)
-    state.counters.updates += 1
-    return result
-
-
 # ---------------------------------------------------------------------------
 # checkpoint / rollback
-
-
-def engine_checkpoint(state: EngineState) -> Checkpoint:
-    cp = Checkpoint()
-    state._live.append((cp, len(state._undo)))
-    return cp
 
 
 def live_index(state: EngineState, cp) -> int:
@@ -469,20 +491,6 @@ def live_index(state: EngineState, cp) -> int:
         if live[i][0] is cp:
             return i
     raise StateError("checkpoint is not live (already rolled back or foreign)")
-
-
-def engine_rollback(state: EngineState, cp: Checkpoint) -> None:
-    """Unwind the undo log back to cp, which must be live on state (see
-    live_index). Consumes cp and every checkpoint taken after it. Legal in
-    every mode; each undone update counts as one rollback op."""
-    i = live_index(state, cp)
-    undo = state._undo
-    count = len(undo) - state._live[i][1]
-    for _ in range(count):
-        fn, args = undo.pop()
-        fn(*args)
-    state.counters.rollback_ops += count
-    del state._live[i:]
 
 
 # ---------------------------------------------------------------------------
@@ -809,59 +817,26 @@ def check_query(kind: ProblemKind, q) -> None:
             f"{kind.value} answers {expected.__name__}, got {type(q).__name__}")
 
 
-def engine_query(state: EngineState, q):
-    """Answer q; a query that raises is not counted."""
-    check_query(state.kind, q)
-    answer = state._answer_fn(state, q)
-    state.counters.queries += 1
-    return answer
-
-
 # ---------------------------------------------------------------------------
 # handle interface
 
 # Reductions drive engines through handle objects so that a wrapper
 # (wrappers.py) can stand in for a real engine. The shared surface is:
 # .kind .mode .counters .update(op) .query(q) .checkpoint() .rollback(cp)
+# An EngineState has it itself.
 
 
-class DirectEngine:
-    """Engine handle backed directly by an EngineState."""
-
-    def __init__(self, kind, mode, instance, *, scope=None):
-        self._state = engine_new(kind, mode, instance, scope=scope)
-
-    @property
-    def kind(self) -> ProblemKind:
-        return self._state.kind
-
-    @property
-    def mode(self) -> Mode:
-        return self._state.mode
-
-    @property
-    def counters(self) -> CostCounters:
-        return self._state.counters
+class DirectEngine(EngineState):
+    """The engine a reduction holds as its handle. A subclass, not an alias:
+    wrappers keep their outer instance in a bare EngineState, so patching or
+    isinstance on this class sees the engines driven, never a wrapper's."""
 
     @property
     def state(self) -> EngineState:
-        return self._state
-
-    def update(self, op):
-        return engine_update(self._state, op)
-
-    def query(self, q):
-        return engine_query(self._state, q)
-
-    def checkpoint(self) -> Checkpoint:
-        return engine_checkpoint(self._state)
-
-    def rollback(self, cp: Checkpoint) -> None:
-        engine_rollback(self._state, cp)
+        return self
 
 
-def direct_factory(kind, mode, instance, *, scope=None) -> DirectEngine:
-    return DirectEngine(kind, mode, instance, scope=scope)
+direct_factory = DirectEngine
 
 
 def innermost(handle):

@@ -7,8 +7,6 @@ cap honours an environment override so larger experiments stay possible.
 
 import os
 
-from .model import DomainError
-
 # exhaustive assignment enumeration: 2^n iterations
 ORACLE_SAT_MAX_VARS = 24
 
@@ -44,5 +42,7 @@ def max_state_nodes() -> int:
     try:
         return int(raw)
     except ValueError:
+        from .model import DomainError  # model imports this module
+
         raise DomainError(
             f"REDUX_MAX_STATE_NODES must be an integer, got {raw!r}") from None

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Optional
 
+from . import limits  # limits imports this module only to raise DomainError
+
 
 class ParseError(ValueError):
     """Malformed input text. Carries the 1-based line number when known."""
@@ -116,8 +118,7 @@ class Graph:
     ):
         if node_count < 0:
             raise DomainError("node_count must be nonnegative")
-        from .limits import max_state_nodes  # limits imports this module
-        if node_count > max_state_nodes():  # before any per-node list exists
+        if node_count > limits.max_state_nodes():  # before any per-node list exists
             raise GuardError(f"{node_count} nodes exceed the state cap")
         if weighted and max_weight is not None and max_weight < 1:
             raise DomainError("max_weight must be >= 1")
@@ -588,8 +589,7 @@ def parse_graph(text: str) -> Graph:
         weighted = True
     if n < 0 or m < 0:
         raise ParseError("negative counts in header", ln_no)
-    from .limits import max_state_nodes  # limits imports this module
-    if n > max_state_nodes():  # before Graph(n) allocates per node
+    if n > limits.max_state_nodes():  # before Graph(n) allocates per node
         raise GuardError(f"header declares {n} nodes, over the state cap")
     g = Graph(n, directed=(toks[2] == "directed"), weighted=weighted,
               max_weight=(1 if weighted else None))

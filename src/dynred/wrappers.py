@@ -4,10 +4,10 @@ Each wrapper presents one problem kind while internally running an engine for
 a different kind. Updates are translated with constant fan-out and the inner
 engine can itself be a wrapper, so wrappers compose.
 
-Each wrapper keeps the outer instance in an engine state of the outer kind,
-built by engine_new after the wrapper's own instance checks. An outer op is
-applied to that state first, so it is checked, counted and undone exactly as
-a direct engine of the outer kind would do it, and only an accepted op is
+Each wrapper keeps the outer instance in a bare EngineState (no handle) of
+the outer kind, built after the wrapper's own instance checks. An outer op
+is applied to that state first, so it is checked, counted and undone as a
+direct engine of the outer kind would do it, and only an accepted op is
 translated and forwarded. Every answer comes from the inner engine.
 
 A wrapper's counters are the outer state's, plus one query per answered
@@ -30,17 +30,13 @@ from functools import partial
 from .engines import (
     KINDS,
     Checkpoint,
+    EngineState,
     Mode,
     ProblemKind,
     _as_kind,
     _as_mode,
     check_query,
     direct_factory,
-    engine_checkpoint,
-    engine_new,
-    engine_query,
-    engine_rollback,
-    engine_update,
     live_index,
 )
 from .model import (
@@ -86,11 +82,11 @@ class _WrapperBase:
 
     def _load(self, instance, scope=None) -> None:
         """Keep the outer instance in an engine state of the outer kind."""
-        self._outer = engine_new(self.kind, self.mode, instance, scope=scope)
+        self._outer = EngineState(self.kind, self.mode, instance, scope=scope)
         self.counters = self._outer.counters
 
     def update(self, op):
-        engine_update(self._outer, op)
+        self._outer.update(op)
         for inner_op in self._translate(op):
             self.inner.update(inner_op)
 
@@ -101,14 +97,14 @@ class _WrapperBase:
         return answer
 
     def checkpoint(self) -> Checkpoint:
-        cp = engine_checkpoint(self._outer)
+        cp = self._outer.checkpoint()
         cp.inner = self.inner.checkpoint()
         return cp
 
     def rollback(self, cp: Checkpoint) -> None:
         live_index(self._outer, cp)  # a checkpoint not live here changes nothing
         self.inner.rollback(cp.inner)
-        engine_rollback(self._outer, cp)
+        self._outer.rollback(cp)
 
     def _translate(self, op) -> list:
         """The inner ops for an outer op the outer state has accepted."""
@@ -331,8 +327,7 @@ def _validated_offset_law() -> str:
     probe.add_edge(1, 2, 2)      # pair edge for a
     probe.add_edge(0, 2, 1)      # arc s -> a, weight B - 1
     probe.add_edge(1, 3, 1)      # arc a -> t
-    w = engine_query(engine_new(ProblemKind.BWMATCH, Mode.FULL, probe),
-                     MaxWeightPmWeight())
+    w = EngineState(ProblemKind.BWMATCH, Mode.FULL, probe).query(MaxWeightPmWeight())
     if (3 - 1) * 2 - w == 2:
         _OFFSET_LAW = "n-1"
     elif 3 * 2 - w == 2:

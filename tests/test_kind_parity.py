@@ -18,7 +18,15 @@ import json
 import sys
 from pathlib import Path
 
-from dynred.engines import Mode, ProblemKind, engine_new, engine_query
+from dynred.engines import (
+    DirectEngine,
+    EngineState,
+    Mode,
+    ProblemKind,
+    direct_factory,
+    engine_new,
+    engine_query,
+)
 from dynred.model import (
     AllStReachable,
     Diameter,
@@ -234,6 +242,22 @@ def test_wrappers_construct_exactly_when_their_outer_kind_does():
         if wrapped != direct:
             mismatched.append((key, wrapped, direct))
     assert not mismatched, f"{len(mismatched)} rows differ: {mismatched[:3]}"
+
+
+def test_every_engine_constructor_matches_the_construct_table():
+    """EngineState, DirectEngine and direct_factory are one constructor:
+    each checks and loads every shape as the recorded engine_new did."""
+    recorded = json.loads(OUTCOMES.read_text())["construct"]
+    shapes = _shapes()
+    for make in (EngineState, DirectEngine, direct_factory):
+        differ = []
+        for key, want in recorded.items():
+            kind, label, sname = key.split()
+            got = _outcome(lambda: _state_detail(make(
+                kind, Mode.FULL, shapes[label], scope=_SCOPES[sname])))
+            if got != want:
+                differ.append((key, got, want))
+        assert not differ, f"{make.__name__}: {len(differ)} differ: {differ[:2]}"
 
 
 def test_table_covers_every_kind_and_wrapper():

@@ -1,8 +1,14 @@
+import builtins
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dynred
 from dynred.model import (
     CnfFormula,
     CostCounters,
@@ -235,3 +241,49 @@ def test_counters_snapshot_independent():
     snap = c.snapshot()
     c.updates += 5
     assert snap.updates == 0
+
+
+def test_graph_and_graph_header_import_nothing(monkeypatch):
+    """model loads limits with itself, so building a graph and checking a
+    graph header against the state cap (read afresh each time) import
+    nothing."""
+    Graph(10)
+    parse_graph("3 1 undirected\n0 1\n")
+    imports = []
+    real = builtins.__import__
+
+    def counting(name, *args, **kw):
+        imports.append(name)
+        return real(name, *args, **kw)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    Graph(10)
+    parse_graph("3 1 undirected\n0 1\n")
+    monkeypatch.undo()
+    assert imports == []
+
+
+def test_limits_imports_before_model():
+    """limits needs model only to raise on a malformed cap, so it imports
+    on its own, and a malformed cap still raises model's DomainError."""
+    src = str(Path(dynred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("REDUX_MAX_STATE_NODES", None)
+    code = (
+        "import os, sys\n"
+        "import dynred.limits as limits\n"
+        "assert 'dynred.model' not in sys.modules\n"
+        "os.environ['REDUX_MAX_STATE_NODES'] = 'abc'\n"
+        "try:\n"
+        "    limits.max_state_nodes()\n"
+        "except ValueError as exc:\n"
+        "    from dynred.model import DomainError, Graph\n"
+        "    assert type(exc) is DomainError, exc\n"
+        "os.environ['REDUX_MAX_STATE_NODES'] = '3'\n"
+        "assert Graph(3).node_count == 3\n"
+        "print(limits.max_state_nodes())\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3\n"
