@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -28,6 +27,7 @@ from .model import (
     emit_report,
     parse_cnf,
     parse_graph,
+    sha256,
 )
 from .pair_listing import dump_instance, load_instance
 from .reductions import MODES, REDUCTIONS
@@ -44,7 +44,7 @@ _LOADERS = {
 
 def _instance_digest(loader: str, instance) -> str:
     if loader == "tripartite":
-        return hashlib.sha256(dump_instance(instance).encode()).hexdigest()
+        return sha256(dump_instance(instance).encode()).hexdigest()
     return instance.digest()
 
 

@@ -6,13 +6,22 @@ contiguous blocks so tests can address them by offset arithmetic.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from array import array
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Optional
+
+# hashlib maps OpenSSL's libcrypto (about 3.7 MB resident); the builtin
+# module gives the same digests, so try it first, as random.py does
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import limits  # limits imports this module only to raise DomainError
 
@@ -412,7 +421,7 @@ class Graph:
         return hash(self._state_tuple())
 
     def digest(self) -> str:
-        return hashlib.sha256(repr(self._state_tuple()).encode()).hexdigest()
+        return sha256(repr(self._state_tuple()).encode()).hexdigest()
 
     def to_text(self) -> str:
         head = f"{self.node_count} {self.edge_count} "
@@ -664,7 +673,7 @@ class CnfFormula:
         return hash(self._state_tuple())
 
     def digest(self) -> str:
-        return hashlib.sha256(repr(self._state_tuple()).encode()).hexdigest()
+        return sha256(repr(self._state_tuple()).encode()).hexdigest()
 
     def to_text(self) -> str:
         lines = [f"p cnf {self.var_count} {len(self.clauses)}"]
@@ -793,7 +802,7 @@ class SetSystem:
                 and self.masks == other.masks)
 
     def digest(self) -> str:
-        return hashlib.sha256(repr(self._state_tuple()).encode()).hexdigest()
+        return sha256(repr(self._state_tuple()).encode()).hexdigest()
 
     def copy(self) -> "SetSystem":
         out = SetSystem(self.universe_size)

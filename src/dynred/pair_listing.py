@@ -272,33 +272,33 @@ def list_pairs(inst: TripartiteInstance, probe, delta: int | None = None):
     """
     if delta is None:
         delta = inst.delta
-    side = inst.side
-    levels = _ceil_log2(side)
-    block_count = 1 << levels
     pairs: list[tuple[int, int]] = []
-    overflow = False
-
-    def search(a: int, i: int, j: int) -> None:
-        nonlocal overflow
-        if not probe.probe(a, i, j):
-            return
-        if i == levels:
-            pairs.append((a, j - 1))
-            if len(pairs) > delta:
-                overflow = True
-            return
-        for cj in (2 * j - 1, 2 * j):
-            if (cj - 1) * (block_count >> (i + 1)) >= side:
-                continue  # dummy-only block
-            search(a, i + 1, cj)
-            if overflow:
-                return
-
-    for a in range(side):
-        search(a, 0, 1)
-        if overflow:
+    levels = _ceil_log2(inst.side)
+    for a in range(inst.side):
+        if _search(probe, inst.side, levels, delta, pairs, a, 0, 1):
             return OVERFLOW, probe.counters
     return sorted(pairs), probe.counters
+
+
+def _search(probe, side: int, levels: int, delta: int, pairs: list,
+            a: int, i: int, j: int) -> bool:
+    """Pre-order descent below block j of level i for a, appending each
+    pair found to pairs; True once more than delta pairs are listed.
+
+    A module function rather than a closure, so that a run holds no
+    reference cycle and is freed as soon as it returns.
+    """
+    if not probe.probe(a, i, j):
+        return False
+    if i == levels:
+        pairs.append((a, j - 1))
+        return len(pairs) > delta
+    for cj in (2 * j - 1, 2 * j):
+        if (cj - 1) << (levels - i - 1) >= side:
+            continue  # dummy-only block
+        if _search(probe, side, levels, delta, pairs, a, i + 1, cj):
+            return True
+    return False
 
 
 def pairs_to_triangles(inst: TripartiteInstance, pairs) -> list[tuple[int, int, int]]:

@@ -161,12 +161,19 @@ def build_fail_table(formula: CnfFormula, delta, *, blocks: int = 1) -> FailTabl
 # shared driver plumbing
 
 
-def _engine_digest(handle):
+def _engine_state(handle, view: str = "_state_tuple"):
+    """The innermost engine's graph or sets as their method view gives them,
+    with the sorted scope of a set system; by default a tuple that is equal
+    exactly when the states are."""
     st = innermost(handle).state
     if st.graph is not None:
-        return st.graph.digest()
+        return getattr(st.graph, view)()
     scope = tuple(sorted(st.scope)) if st.scope is not None else None
-    return (st.sets.digest(), scope)
+    return (getattr(st.sets, view)(), scope)
+
+
+def _engine_digest(handle):
+    return _engine_state(handle, "digest")
 
 
 def _scan(handle, t: FailTable, check_isolation: bool, stage):
@@ -174,13 +181,13 @@ def _scan(handle, t: FailTable, check_isolation: bool, stage):
 
     stage(r) gives stage r's (ops, undo, query, interpret) for run_stage; a
     completing stage is restored too. With check_isolation the engine state
-    digest must be back at its start value after every stage.
+    must be back at its start value after every stage.
     """
-    base = _engine_digest(handle) if check_isolation else None
+    base = _engine_state(handle) if check_isolation else None
     for r in range(1 << t.stage_bits):
         ops, undo, *rest = stage(r)
         hit = run_stage(handle, ops, *rest, undo=undo)
-        if check_isolation and _engine_digest(handle) != base:
+        if check_isolation and _engine_state(handle) != base:
             raise ConstructionError("stage was not isolated: state digest drifted")
         if hit:
             return True, handle.counters

@@ -216,27 +216,29 @@ def triangle_via_streach_decremental(g: Graph, *, factory=direct_factory):
     n = g.node_count
     h, lay = build_streach_trees(g)
     handle = factory(ProblemKind.ST_REACH, Mode.DECREMENTAL, h)
+    return _visit(handle, lay, n, 1), handle.counters
+
+
+def _visit(handle, lay, n: int, hh: int):
+    """Depth-first sweep below heap slot hh: the first real leaf whose stage
+    reaches t, or None. A hit returns with its path still cut.
+
+    A module function rather than a closure, so that a run holds no
+    reference cycle and is freed as soon as it returns.
+    """
     leaves = lay.leaf_count
-    found = None
-
-    def visit(hh: int) -> None:
-        nonlocal found
-        if hh >= leaves:
-            j = hh - leaves
-            if j < n and handle.query(StReachable()):
-                found = j
-            return
-        for keep, cut in ((2 * hh, 2 * hh + 1), (2 * hh + 1, 2 * hh)):
-            cp = handle.checkpoint()
-            handle.update(DeleteEdge(lay.s_nodes[hh], lay.s_nodes[cut]))
-            handle.update(DeleteEdge(lay.t_nodes[cut], lay.t_nodes[hh]))
-            visit(keep)
-            if found is not None:
-                return
-            handle.rollback(cp)
-
-    visit(1)
-    return found, handle.counters
+    if hh >= leaves:
+        j = hh - leaves
+        return j if j < n and handle.query(StReachable()) else None
+    for keep, cut in ((2 * hh, 2 * hh + 1), (2 * hh + 1, 2 * hh)):
+        cp = handle.checkpoint()
+        handle.update(DeleteEdge(lay.s_nodes[hh], lay.s_nodes[cut]))
+        handle.update(DeleteEdge(lay.t_nodes[cut], lay.t_nodes[hh]))
+        found = _visit(handle, lay, n, keep)
+        if found is not None:
+            return found
+        handle.rollback(cp)
+    return None
 
 
 # ---------------------------------------------------------------------------

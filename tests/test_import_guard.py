@@ -5,9 +5,11 @@ matching reduction must load no scipy, and a short `dynred run` of an SCC
 reduction, whose queries scan fewer edges than the csgraph import budget,
 must not import scipy.sparse.csgraph. Runs whose queries call no numpy
 kernel (`ssr`, `tri-pp`, `3sum-listpairs`) load neither; a `diam` run,
-whose query is a numpy kernel, loads numpy but no scipy. Each check runs in
-a fresh interpreter, since the test process itself may have imported numpy
-and scipy already.
+whose query is a numpy kernel, loads numpy but no scipy. Nor does a run or
+a verify suite that needs no scipy load OpenSSL's `_hashlib`: digests come
+from the builtin SHA-256, which must agree with hashlib's. Each check runs
+in a fresh interpreter, since the test process itself may have imported
+numpy and scipy already.
 """
 
 import json
@@ -131,3 +133,37 @@ def test_diameter_run_loads_numpy_but_no_scipy(tmp_path):
     assert got["code"] == 0
     assert got["queries"] > 0
     assert (got["numpy"], got["scipy"]) == (True, False)
+
+
+def _hashlib_loaded(argv) -> dict:
+    """A fresh `dynred` CLI call of argv: its exit code, and whether OpenSSL's
+    hashing module was loaded."""
+    return _fresh(
+        "import sys, json, io, contextlib\n"
+        "from dynred import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, '_hashlib': '_hashlib' in sys.modules}))")
+
+
+@pytest.mark.parametrize("reduction", ["ssr", "tri-pp", "3sum-listpairs"])
+def test_runs_load_no_openssl(tmp_path, reduction):
+    path = _instance(tmp_path, reduction)
+    got = _hashlib_loaded(["run", "--reduction", reduction, "--input", str(path),
+                           "--mode", "full"])
+    assert got == {"code": 0, "_hashlib": False}
+
+
+def test_verify_loads_no_openssl():
+    got = _hashlib_loaded(["verify", "--suite", "seth", "--trials", "2", "--max-n", "6"])
+    assert got == {"code": 0, "_hashlib": False}
+
+
+@pytest.mark.parametrize("size", [0, 3, 64 * 1024 + 7])
+def test_lean_sha256_matches_hashlib(size):
+    import hashlib
+
+    from dynred import model
+
+    data = bytes(random.Random(size).getrandbits(8) for _ in range(size))
+    assert model.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()

@@ -2,15 +2,30 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynred.generators import random_cnf
-from dynred.model import CnfFormula, CostCounters, DomainError, GuardError
+from dynred.engines import Mode, ProblemKind, direct_factory
+from dynred.model import (
+    AddToScope,
+    CnfFormula,
+    ConstructionError,
+    CostCounters,
+    DomainError,
+    Graph,
+    GuardError,
+    InsertEdge,
+    SetSystem,
+    StReachable,
+    UnionIsUniverse,
+)
 from dynred.oracles import oracle_sat
 from dynred.sat_reductions import (
+    _scan,
     build_fail_table,
     compute_split,
     sat_via_appx_scc,
@@ -218,6 +233,20 @@ def test_stage_isolation_digest(fn, mode):
     for f in CORPUS[:10]:
         answer, _ = fn(f, mode=mode, check_isolation=True)
         assert answer == oracle_sat(f)
+
+
+@pytest.mark.parametrize("kind,instance,leak,query", [
+    (ProblemKind.ST_REACH, Graph(3, directed=True, s=0, t=2), InsertEdge(0, 1),
+     StReachable()),
+    (ProblemKind.SUB_UNION, SetSystem(2, [[0], [1]]), AddToScope(1),
+     UnionIsUniverse()),
+], ids=["graph", "scope"])
+def test_stage_isolation_check_catches_a_leaked_update(kind, instance, leak, query):
+    handle = direct_factory(kind, Mode.FULL, instance)
+    # an empty undo list restores nothing, so the stage's update stays
+    with pytest.raises(ConstructionError, match="not isolated"):
+        _scan(handle, SimpleNamespace(stage_bits=1), True,
+              lambda r: ([leak], [], query, bool))
 
 
 @pytest.mark.parametrize("mode", MODES)
