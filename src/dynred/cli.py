@@ -108,7 +108,8 @@ def _cmd_run(args) -> int:
               f"{'/'.join(entry.modes)}, not {mode!r}", file=sys.stderr)
         return 1
     try:
-        text = open(args.input, encoding="utf-8").read()
+        with open(args.input, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"dynred: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1

@@ -3,10 +3,10 @@
 An engine is one EngineState: it loads (preprocesses) a mutable instance,
 a graph or a set system, and its update, query, checkpoint and rollback are
 the uniform API; engine_new and engine_update etc. are the same class and
-methods under functional names. Reductions hold the subclass DirectEngine
-(see why there). Queries recompute from current state; what is being
-measured throughout the package is how many updates and queries a reduction
-spends, never how fast a single query runs.
+methods under functional names. Reductions hold the subclass DirectEngine;
+a wrapper is an EngineState of its outer kind (see DirectEngine). Queries
+recompute from current state; what is measured throughout the package is
+how many updates and queries a reduction spends, never how fast one runs.
 
 Mode legality: insert-type updates are rejected in decremental mode and
 delete-type updates in incremental mode. Rollback is legal in every mode,
@@ -251,6 +251,11 @@ class EngineState:
                         _scope_add(self, AddToScope(i))
             elif scope is not None:
                 raise DomainError("scope applies only to sub-union engines")
+
+    @property
+    def state(self) -> EngineState:
+        """The engine state behind a handle: the handle itself."""
+        return self
 
     def __repr__(self):
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
@@ -823,17 +828,13 @@ def check_query(kind: ProblemKind, q) -> None:
 # Reductions drive engines through handle objects so that a wrapper
 # (wrappers.py) can stand in for a real engine. The shared surface is:
 # .kind .mode .counters .update(op) .query(q) .checkpoint() .rollback(cp)
-# An EngineState has it itself.
+# An EngineState has it itself, and every wrapper is one.
 
 
 class DirectEngine(EngineState):
     """The engine a reduction holds as its handle. A subclass, not an alias:
-    wrappers keep their outer instance in a bare EngineState, so patching or
-    isinstance on this class sees the engines driven, never a wrapper's."""
-
-    @property
-    def state(self) -> EngineState:
-        return self
+    a wrapper is an EngineState of its outer kind too, so patching or
+    isinstance on this class sees the engines driven, never a wrapper."""
 
 
 direct_factory = DirectEngine

@@ -101,7 +101,7 @@ def _split_run(g, mode, ctx):
         dense_cost.absorb(c)
         return anchor
 
-    witness = split_by_degree(g, isqrt(len(g.edges())), dense)
+    witness = split_by_degree(g, isqrt(g.edge_count), dense)
     if witness is None:
         answer = None
     elif witness.u is not None:

@@ -4,23 +4,23 @@ Each wrapper presents one problem kind while internally running an engine for
 a different kind. Updates are translated with constant fan-out and the inner
 engine can itself be a wrapper, so wrappers compose.
 
-Each wrapper keeps the outer instance in a bare EngineState (no handle) of
-the outer kind, built after the wrapper's own instance checks. An outer op
-is applied to that state first, so it is checked, counted and undone as a
-direct engine of the outer kind would do it, and only an accepted op is
-translated and forwarded. Every answer comes from the inner engine.
+A wrapper is an EngineState of the outer kind, loaded with the outer
+instance after the wrapper's own instance checks. An outer op is applied to
+that state first, so it is checked, counted and undone as a direct engine
+of the outer kind would do it, and only an accepted op is translated and
+forwarded. Every answer comes from the inner engine.
 
-A wrapper's counters are the outer state's, plus one query per answered
+A wrapper's counters are its own state's, plus one query per answered
 query: the traffic it received. The cost spent inside is on
-`handle.inner.counters`. A wrapper's checkpoint is one of the outer state
-that carries the inner engine's. Rollback looks it up on the outer state
-before it unwinds the inner engine and then the outer state, so a checkpoint
+`handle.inner.counters`. A wrapper's checkpoint is one of its own state
+that carries the inner engine's. Rollback looks it up on its own state
+before it unwinds the inner engine and then its own state, so a checkpoint
 not live there raises StateError and changes nothing.
 
 Suppressed updates (fan-out zero) provably cannot change any outer answer;
-they change only the outer state. The hosts of the reachability and
+they change only the wrapper's own state. The hosts of the reachability and
 connectivity wrappers are unweighted, so an insert's weight, checked by the
-outer state, goes no further.
+wrapper's own state, goes no further.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .engines import (
     KINDS,
     Checkpoint,
     EngineState,
-    Mode,
     ProblemKind,
     _as_kind,
     _as_mode,
@@ -58,35 +57,35 @@ from .model import (
 )
 
 
-class _WrapperBase:
-    """Common handle plumbing: legality, counting, checkpointing. A subclass
-    sets its name, the kind it serves, the query it asks its inner engine
-    and inner_nodes(instance), the node count of the inner instance. It
-    calls _load after its own instance checks and before building its
-    inner engine."""
+class _WrapperBase(EngineState):
+    """An engine of the outer kind that answers through an inner engine. A
+    subclass sets its name, the kind it serves, the kind and query of its
+    inner engine and inner_nodes(instance), the node count of the inner
+    instance. Its _check(instance) raises DomainError on an instance it
+    cannot carry, and its _host(instance) builds the inner instance."""
 
     outer_kind: ProblemKind = None  # set by subclasses
+    inner_kind: ProblemKind = None
 
-    def __init__(self, kind, mode, instance, scope=None):
+    def __init__(self, kind, mode, instance, inner_factory, *, scope=None):
         kind = _as_kind(kind)
         if kind is not self.outer_kind:
             raise DomainError(
                 f"{type(self).__name__} serves {self.outer_kind.value}, got {kind.value}")
-        self.mode = _as_mode(mode)
+        mode = _as_mode(mode)
         if scope is not None and "scope" not in KINDS[kind].families:
             raise DomainError("scope applies only to set-system kinds")
         if KINDS[kind].instance is Graph and not isinstance(instance, Graph):
             raise DomainError(f"{kind.value} expects a Graph instance")
-        self.kind = kind
-        self.inner = None  # subclasses attach after building the inner instance
-
-    def _load(self, instance, scope=None) -> None:
-        """Keep the outer instance in an engine state of the outer kind."""
-        self._outer = EngineState(self.kind, self.mode, instance, scope=scope)
-        self.counters = self._outer.counters
+        self._check(instance)
+        super().__init__(kind, mode, instance, scope=scope)
+        h = self._host(instance)
+        if h.node_count != self.inner_nodes(instance):
+            raise ConstructionError("node budget violated")
+        self.inner = inner_factory(self.inner_kind, mode, h)
 
     def update(self, op):
-        self._outer.update(op)
+        super().update(op)
         for inner_op in self._translate(op):
             self.inner.update(inner_op)
 
@@ -97,17 +96,21 @@ class _WrapperBase:
         return answer
 
     def checkpoint(self) -> Checkpoint:
-        cp = self._outer.checkpoint()
+        cp = super().checkpoint()
         cp.inner = self.inner.checkpoint()
         return cp
 
     def rollback(self, cp: Checkpoint) -> None:
-        live_index(self._outer, cp)  # a checkpoint not live here changes nothing
+        live_index(self, cp)  # a checkpoint not live here changes nothing
         self.inner.rollback(cp.inner)
-        self._outer.rollback(cp)
+        super().rollback(cp)
+
+    def _host(self, instance) -> Graph:
+        """The inner instance for instance."""
+        raise NotImplementedError
 
     def _translate(self, op) -> list:
-        """The inner ops for an outer op the outer state has accepted."""
+        """The inner ops for an outer op this state has accepted."""
         raise NotImplementedError
 
     def _interpret(self, inner_answer):
@@ -138,16 +141,17 @@ class SubconnViaStreach(_WrapperBase):
 
     name = "subconn-via-streach"
     outer_kind = ProblemKind.ST_SUBCONN
+    inner_kind = ProblemKind.ST_REACH
     inner_query = StReachable()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count)
 
-    def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, instance, scope)
+    def _check(self, instance: Graph) -> None:
         if instance.directed or instance.s is None or instance.t is None:
             raise DomainError("needs an undirected graph with s and t")
         if instance.active is None:
             raise DomainError("needs an active node set")
-        self._load(instance)
+
+    def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         self._n = n
         always_on = set(instance.active) | {instance.s, instance.t}
@@ -157,12 +161,10 @@ class SubconnViaStreach(_WrapperBase):
             h.add_edge(n + v, u)
         for v in sorted(always_on):
             h.add_edge(v, n + v)
-        if h.node_count != self.inner_nodes(instance):
-            raise ConstructionError("node budget violated")
         if h.edge_count != 2 * instance.edge_count + len(always_on):
             raise ConstructionError("edge budget violated")
         self._st = {instance.s, instance.t}
-        self.inner = inner_factory(ProblemKind.ST_REACH, self.mode, h)
+        return h
 
     def _translate(self, op):
         n = self._n
@@ -182,6 +184,11 @@ subconn_via_streach = _factory_maker(SubconnViaStreach)
 
 # ---------------------------------------------------------------------------
 # directed reachability via perfect matching
+
+
+def _check_st_digraph(self, instance: Graph) -> None:
+    if not instance.directed or instance.s is None or instance.t is None:
+        raise DomainError("needs a directed graph with s and t")
 
 
 def _split_ids(n: int, s: int, t: int):
@@ -207,14 +214,12 @@ class StreachViaBpm(_WrapperBase):
 
     name = "streach-via-bpm"
     outer_kind = ProblemKind.ST_REACH
+    inner_kind = ProblemKind.BPMATCH
     inner_query = HasPerfectMatching()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
+    _check = _check_st_digraph
 
-    def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, instance, scope)
-        if not instance.directed or instance.s is None or instance.t is None:
-            raise DomainError("needs a directed graph with s and t")
-        self._load(instance)
+    def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         s, t = instance.s, instance.t
         self._s, self._t = s, t
@@ -231,11 +236,9 @@ class StreachViaBpm(_WrapperBase):
                 continue
             h.add_edge(self._out_id(u), self._in_id(v))
             mapped += 1
-        if h.node_count != self.inner_nodes(instance):
-            raise ConstructionError("node budget violated")
         if h.edge_count != pair_edges + mapped:
             raise ConstructionError("edge budget violated")
-        self.inner = inner_factory(ProblemKind.BPMATCH, self.mode, h)
+        return h
 
     def _translate(self, op):
         if op.u == self._t or op.v == self._s:
@@ -258,30 +261,30 @@ class StspViaBwm(_WrapperBase):
     Split graph as in StreachViaBpm; pair edges weigh B = max_weight + 1 and
     an arc of weight w maps to B - w (always >= 1). The best matching swaps
     pair edges for one forced s-to-t chain and never keeps a cycle, giving
-    weight offset - dist. The offset law is confirmed on a 3-node probe at
-    construction time.
+    weight offset - dist with offset = (n-1)B: all n-1 matched edges weigh
+    B, less the weights of the chain's arcs.
     """
 
     name = "stsp-via-bwm"
     outer_kind = ProblemKind.ST_SP
+    inner_kind = ProblemKind.BWMATCH
     inner_query = MaxWeightPmWeight()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
-    def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, instance, scope)
+    def _check(self, instance: Graph) -> None:
         if not instance.weighted or instance.s is None or instance.t is None:
             raise DomainError("needs a weighted graph with s and t")
         if instance.max_weight is None:
             raise DomainError("needs a declared max_weight")
-        self._load(instance)
+
+    def _host(self, instance: Graph) -> Graph:
         self._directed = instance.directed
         n = instance.node_count
         s, t = instance.s, instance.t
         self._s, self._t = s, t
         self._base = instance.max_weight + 1
         self._out_id, self._in_id = _split_ids(n, s, t)
-        law = _validated_offset_law()
-        self._offset = (n - 1 if law == "n-1" else n) * self._base
+        self._offset = (n - 1) * self._base
         h = Graph(2 * n - 2, weighted=True, max_weight=self._base)
         for v in range(n):
             if v != s and v != t:
@@ -289,9 +292,7 @@ class StspViaBwm(_WrapperBase):
         for u, v, w in instance.weighted_edges():
             for a, b in self._arc_pairs(u, v):
                 h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
-        if h.node_count != self.inner_nodes(instance):
-            raise ConstructionError("node budget violated")
-        self.inner = inner_factory(ProblemKind.BWMATCH, self.mode, h)
+        return h
 
     def _arc_pairs(self, u, v):
         """Arcs carried by one stored edge, with degenerate endpoints dropped."""
@@ -307,34 +308,6 @@ class StspViaBwm(_WrapperBase):
 
     def _interpret(self, w):
         return None if w is None else self._offset - w
-
-
-_OFFSET_LAW: str | None = None
-
-
-def _validated_offset_law() -> str:
-    """Confirm the matching-weight offset on a three-node probe path; cached.
-
-    Probe: s -> a -> t with unit weights, so dist = 2, n = 3, B = 2. The
-    matching weight W must satisfy offset - W = 2 for exactly one of the
-    candidate offsets (n-1)B and nB.
-    """
-    global _OFFSET_LAW
-    if _OFFSET_LAW is not None:
-        return _OFFSET_LAW
-    probe = Graph(4, weighted=True, max_weight=2)
-    # nodes: s_out=0, a_out=1, a_in=2, t_in=3 with B = 2
-    probe.add_edge(1, 2, 2)      # pair edge for a
-    probe.add_edge(0, 2, 1)      # arc s -> a, weight B - 1
-    probe.add_edge(1, 3, 1)      # arc a -> t
-    w = EngineState(ProblemKind.BWMATCH, Mode.FULL, probe).query(MaxWeightPmWeight())
-    if (3 - 1) * 2 - w == 2:
-        _OFFSET_LAW = "n-1"
-    elif 3 * 2 - w == 2:
-        _OFFSET_LAW = "n"
-    else:
-        raise ConstructionError(f"probe matching weight {w} fits no offset law")
-    return _OFFSET_LAW
 
 
 stsp_via_bwm = _factory_maker(StspViaBwm)
@@ -356,14 +329,12 @@ class StreachViaSc(_WrapperBase):
 
     name = "streach-via-sc"
     outer_kind = ProblemKind.ST_REACH
+    inner_kind = ProblemKind.SC
     inner_query = StronglyConnected()
     inner_nodes = staticmethod(lambda g: g.node_count)
+    _check = _check_st_digraph
 
-    def __init__(self, kind, mode, instance: Graph, inner_factory, *, scope=None):
-        super().__init__(kind, mode, instance, scope)
-        if not instance.directed or instance.s is None or instance.t is None:
-            raise DomainError("needs a directed graph with s and t")
-        self._load(instance)
+    def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         s, t = instance.s, instance.t
         self._s, self._t = s, t
@@ -385,7 +356,7 @@ class StreachViaSc(_WrapperBase):
             mapped += 1
         if h.edge_count != permanent + mapped:
             raise ConstructionError("edge budget violated")
-        self.inner = inner_factory(ProblemKind.SC, self.mode, h)
+        return h
 
     def _translate(self, op):
         if op.v == self._s or op.u == self._t:
@@ -411,19 +382,20 @@ class SubunionViaConnsub(_WrapperBase):
 
     name = "subunion-via-connsub"
     outer_kind = ProblemKind.SUB_UNION
+    inner_kind = ProblemKind.CONN_SUB
     inner_query = InducedConnected()
     inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss) + 1)
 
-    def __init__(self, kind, mode, instance: SetSystem, inner_factory, *, scope=None):
-        super().__init__(kind, mode, instance, scope)
+    def _check(self, instance: SetSystem) -> None:
         if not isinstance(instance, SetSystem):
             raise DomainError("needs a SetSystem instance")
-        self._load(instance, scope)  # range-checks the scope
+
+    def _host(self, instance: SetSystem) -> Graph:
         n_u = instance.universe_size
         k = len(instance)
         hub = n_u + k
         g = Graph(n_u + k + 1, active=set(range(n_u)) | {hub}
-                  | {n_u + i for i in self._outer.scope})
+                  | {n_u + i for i in self.scope})
         edges = 0
         for i in range(k):
             for u in instance.members(i):
@@ -431,12 +403,12 @@ class SubunionViaConnsub(_WrapperBase):
                 edges += 1
             g.add_edge(hub, n_u + i)
             edges += 1
-        if g.node_count != self.inner_nodes(instance) or g.edge_count != edges:
-            raise ConstructionError("size budget violated")
+        if g.edge_count != edges:
+            raise ConstructionError("edge budget violated")
         self._toggles = {  # inner ops built once per set, not once per update
             AddToScope: [[ActivateNode(n_u + i)] for i in range(k)],
             RemoveFromScope: [[DeactivateNode(n_u + i)] for i in range(k)]}
-        self.inner = inner_factory(ProblemKind.CONN_SUB, self.mode, g)
+        return g
 
     def _translate(self, op):
         return self._toggles[type(op)][op.set_id]

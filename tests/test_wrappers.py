@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dynred.engines import DirectEngine, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind, direct_factory
 from dynred.model import (
     ActivateNode,
     AddToScope,
@@ -11,6 +11,7 @@ from dynred.model import (
     DomainError,
     Graph,
     InsertEdge,
+    MaxWeightPmWeight,
     ModeError,
     RemoveFromScope,
     SetSystem,
@@ -22,7 +23,6 @@ from dynred.model import (
 )
 from dynred.wrappers import (
     StspViaBwm,
-    _validated_offset_law,
     streach_via_bpm,
     streach_via_sc,
     stsp_via_bwm,
@@ -201,7 +201,15 @@ def test_streach_via_sc_two_nodes():
 
 
 def test_offset_law_probe():
-    assert _validated_offset_law() == "n-1"
+    """s -> a -> t with unit weights (n = 3, B = 2, dist = 2) as its split
+    graph: the matching weight is (n-1)B - dist."""
+    probe = Graph(4, weighted=True, max_weight=2)
+    # nodes: s_out=0, a_out=1, a_in=2, t_in=3
+    probe.add_edge(1, 2, 2)      # pair edge for a
+    probe.add_edge(0, 2, 1)      # arc s -> a, weight B - 1
+    probe.add_edge(1, 3, 1)      # arc a -> t
+    w = direct_factory(ProblemKind.BWMATCH, Mode.FULL, probe).query(MaxWeightPmWeight())
+    assert (3 - 1) * 2 - w == 2
 
 
 def test_stsp_via_bwm_matches_direct_directed():
