@@ -1,10 +1,10 @@
 """Dynamic-problem engines.
 
 An engine is one EngineState: it loads (preprocesses) a mutable instance,
-a graph or a set system, and its update, query, checkpoint and rollback are
-the uniform API; engine_new and engine_update etc. are the same class and
-methods under functional names. Reductions hold the subclass DirectEngine;
-a wrapper is an EngineState of its outer kind (see DirectEngine). Queries
+a graph or a set system, and its update, query, checkpoint and rollback
+methods are the whole API. Reductions hold the subclass DirectEngine; a
+wrapper is an EngineState of its outer kind that overrides those methods
+(see DirectEngine and wrappers.py). Queries
 recompute from current state; what is measured throughout the package is
 how many updates and queries a reduction spends, never how fast one runs.
 
@@ -214,7 +214,9 @@ class Checkpoint:
 
 class EngineState:
     """An engine: the owned instance plus undo log, live checkpoints and
-    cost counters, behind the update, query, checkpoint and rollback calls."""
+    cost counters, behind the update, query, checkpoint and rollback calls.
+    Call them as methods only: an unbound EngineState.update(h, op) skips a
+    wrapper's override and leaves the wrapper's inner engine behind."""
 
     def __init__(self, kind, mode, instance, *, scope=None):
         """Load an instance. preprocess_units = nodes + edges (graphs) or
@@ -252,11 +254,6 @@ class EngineState:
             elif scope is not None:
                 raise DomainError("scope applies only to sub-union engines")
 
-    @property
-    def state(self) -> EngineState:
-        """The engine state behind a handle: the handle itself."""
-        return self
-
     def __repr__(self):
         return f"EngineState({self.kind.value}, {self.mode.value}, depth={len(self._undo)})"
 
@@ -293,14 +290,6 @@ class EngineState:
             fn(*args)
         self.counters.rollback_ops += count
         del self._live[i:]
-
-
-# the functional spelling: engine_update(state, op) is state.update(op)
-engine_new = EngineState
-engine_update = EngineState.update
-engine_query = EngineState.query
-engine_checkpoint = EngineState.checkpoint
-engine_rollback = EngineState.rollback
 
 
 def _as_member(enum, value, what: str):
@@ -825,19 +814,17 @@ def check_query(kind: ProblemKind, q) -> None:
 # ---------------------------------------------------------------------------
 # handle interface
 
-# Reductions drive engines through handle objects so that a wrapper
-# (wrappers.py) can stand in for a real engine. The shared surface is:
+# Reductions drive a handle: a DirectEngine, or a wrapper (wrappers.py) that
+# stands in for one. Both are EngineStates, so the surface is the class's:
 # .kind .mode .counters .update(op) .query(q) .checkpoint() .rollback(cp)
-# An EngineState has it itself, and every wrapper is one.
+# A factory is a callable factory(kind, mode, instance): DirectEngine, a
+# wrapper class, or a partial of a wrapper class that fixes its inner_factory.
 
 
 class DirectEngine(EngineState):
     """The engine a reduction holds as its handle. A subclass, not an alias:
     a wrapper is an EngineState of its outer kind too, so patching or
     isinstance on this class sees the engines driven, never a wrapper."""
-
-
-direct_factory = DirectEngine
 
 
 def innermost(handle):

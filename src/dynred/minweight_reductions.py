@@ -13,7 +13,9 @@ Decremental runs walk the stages in ascending order and delete each stage's
 anchors once queried; incremental runs walk them in reverse and insert.
 """
 
-from .engines import Mode, ProblemKind, _as_mode, direct_factory
+from functools import partial
+
+from .engines import DirectEngine, Mode, ProblemKind, _as_mode
 from .model import (
     CostCounters,
     DeleteEdge,
@@ -24,7 +26,7 @@ from .model import (
     StDistance,
 )
 from .triangle_reductions import add_layer_arcs
-from .wrappers import stsp_via_bwm
+from .wrappers import StspViaBwm
 
 WEIGHT_BITS = 63  # distances are kept inside signed 64-bit range
 
@@ -57,7 +59,7 @@ def min_weight_triangle_via_stsp(
     g: Graph,
     *,
     mode: str | Mode = "dec",
-    factory=direct_factory,
+    factory=DirectEngine,
     record_stages: list | None = None,
 ) -> tuple[int | None, CostCounters]:
     """Minimum triangle weight, or None when the graph is triangle-free.
@@ -100,13 +102,13 @@ def min_weight_triangle_via_bwm(
     g: Graph,
     *,
     mode: str | Mode = "dec",
-    inner_factory=direct_factory,
+    inner_factory=DirectEngine,
     record_stages: list | None = None,
 ) -> tuple[int | None, CostCounters]:
     """Same stage schedule with the distance engine emulated by weighted matching."""
     return min_weight_triangle_via_stsp(
         g,
         mode=mode,
-        factory=stsp_via_bwm(inner_factory),
+        factory=partial(StspViaBwm, inner_factory=inner_factory),
         record_stages=record_stages,
     )

@@ -76,9 +76,6 @@ class CostCounters:
             "rollback_ops": self.rollback_ops,
         }
 
-    def snapshot(self) -> "CostCounters":
-        return CostCounters(self.preprocess_units, self.updates, self.queries, self.rollback_ops)
-
     def absorb(self, other: "CostCounters") -> None:
         """Fold another engine's totals into this one (multi-engine reductions)."""
         self.preprocess_units += other.preprocess_units
@@ -296,8 +293,6 @@ class Graph:
 
     def out_neighbors(self, u: int) -> set[int]:
         return self._adj[u]
-
-    neighbors = out_neighbors
 
     def adjacency(self) -> tuple[list[set[int]], dict[tuple[int, int], int]]:
         """The graph's own adjacency list and edge -> weight map, for

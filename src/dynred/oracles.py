@@ -52,11 +52,11 @@ def oracle_triangle(g: Graph) -> Triangle | None:
     if g.directed:
         raise DomainError("triangle search is defined on undirected graphs")
     for u in range(g.node_count):
-        nu = g.neighbors(u)
+        nu = g.out_neighbors(u)
         for v in sorted(nu):
             if v <= u:
                 continue
-            for w in sorted(nu & g.neighbors(v)):
+            for w in sorted(nu & g.out_neighbors(v)):
                 if w > v:
                     return Triangle(u, v, w)
     return None
@@ -67,11 +67,11 @@ def oracle_all_triangles(g: Graph) -> list[Triangle]:
         raise DomainError("triangle search is defined on undirected graphs")
     out = []
     for u in range(g.node_count):
-        nu = g.neighbors(u)
+        nu = g.out_neighbors(u)
         for v in sorted(nu):
             if v <= u:
                 continue
-            for w in sorted(nu & g.neighbors(v)):
+            for w in sorted(nu & g.out_neighbors(v)):
                 if w > v:
                     out.append(Triangle(u, v, w))
     return out
@@ -83,11 +83,11 @@ def oracle_min_weight_triangle(g: Graph) -> WeightedTriangle | None:
         raise DomainError("needs an undirected weighted graph")
     best = None
     for u in range(g.node_count):
-        nu = g.neighbors(u)
+        nu = g.out_neighbors(u)
         for v in sorted(nu):
             if v <= u:
                 continue
-            for w in sorted(nu & g.neighbors(v)):
+            for w in sorted(nu & g.out_neighbors(v)):
                 if w <= v:
                     continue
                 total = g.weight(u, v) + g.weight(u, w) + g.weight(v, w)
@@ -280,7 +280,7 @@ def induced_connected(g: Graph) -> bool:
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in g.neighbors(u):
+        for v in g.out_neighbors(u):
             if v in nodes and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -307,7 +307,7 @@ def bipartition(g: Graph) -> tuple[set[int], set[int]]:
         color[root] = 0
         queue = [root]
         for u in queue:
-            for v in g.neighbors(u):
+            for v in g.out_neighbors(u):
                 if color[v] == -1:
                     color[v] = color[u] ^ 1
                     queue.append(v)
@@ -325,7 +325,7 @@ def max_matching(g: Graph) -> dict[int, int]:
     mate: dict[int, int] = {}
 
     def try_augment(u: int, visited: set[int]) -> bool:
-        for v in g.neighbors(u):
+        for v in g.out_neighbors(u):
             if v in visited:
                 continue
             visited.add(v)
@@ -359,7 +359,7 @@ def has_short_augpath(g: Graph, mate: dict[int, int], k: int) -> bool:
             if d >= k:
                 continue
             if d % 2 == 0:  # at a left node: step over non-matching edges
-                for v in g.neighbors(u):
+                for v in g.out_neighbors(u):
                     if v in dist or mate.get(u) == v:
                         continue
                     if v not in mate:
@@ -397,7 +397,7 @@ def max_weight_pm_weight(g: Graph) -> int | None:
         if i == side:
             continue
         u = l_list[i]
-        for v in g.neighbors(u):
+        for v in g.out_neighbors(u):
             bit = 1 << r_index[v]
             if mask & bit:
                 continue

@@ -18,7 +18,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .engines import Mode, ProblemKind, Toggle, direct_factory, run_stage
+from .engines import DirectEngine, Mode, ProblemKind, Toggle, run_stage
 from .limits import TRIPARTITE_MAX_SIDE
 from .model import (
     ActivateNode,
@@ -228,7 +228,7 @@ class SubconnProbe(_BlockProbe):
     B-neighbors inside the block, queries, and rolls the activations back.
     """
 
-    def __init__(self, inst: TripartiteInstance, factory=direct_factory):
+    def __init__(self, inst: TripartiteInstance, factory=DirectEngine):
         super().__init__(inst)
         side, n_c = inst.side, inst.n_c
         s, t = 2 * side + n_c, 2 * side + n_c + 1
@@ -257,10 +257,6 @@ class SubconnProbe(_BlockProbe):
         ops = (self._copies.switch([a] + [side + b for b in members])[0]
                if members else [])
         return run_stage(self.eng, ops, StConnected())
-
-
-def build_subconn_probe(inst: TripartiteInstance, factory=direct_factory) -> SubconnProbe:
-    return SubconnProbe(inst, factory)
 
 
 def list_pairs(inst: TripartiteInstance, probe, delta: int | None = None):
@@ -317,7 +313,7 @@ class DecrementalTraceAdapter(_BlockProbe):
     the block's B-neighbors on the t-side, queries, and rolls back.
     """
 
-    def __init__(self, inst: TripartiteInstance, streach_factory=direct_factory):
+    def __init__(self, inst: TripartiteInstance, streach_factory=DirectEngine):
         super().__init__(inst)
         side, n_c = inst.side, inst.n_c
         leaves = max(2, 1 << self.levels)
@@ -377,8 +373,3 @@ class DecrementalTraceAdapter(_BlockProbe):
             raise ConstructionError(
                 f"probe deleted {len(ops)} edges for {len(members)} members")
         return run_stage(self.eng, ops, StReachable())
-
-
-def decremental_trace_adapter(inst: TripartiteInstance,
-                              streach_factory=direct_factory) -> DecrementalTraceAdapter:
-    return DecrementalTraceAdapter(inst, streach_factory)

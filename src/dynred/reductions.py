@@ -27,10 +27,10 @@ from .oracles import (
 )
 from .pair_listing import (
     OVERFLOW,
+    DecrementalTraceAdapter,
+    SubconnProbe,
     brute_force_pairs,
     brute_force_triangles,
-    build_subconn_probe,
-    decremental_trace_adapter,
     list_pairs,
     pairs_to_triangles,
 )
@@ -54,7 +54,7 @@ from .triangle_reductions import (
     triangle_via_streach_decremental,
     triangle_via_subconn,
 )
-from .wrappers import subunion_via_connsub
+from .wrappers import SubunionViaConnsub
 
 MODES = ("full", "inc", "dec")
 
@@ -148,8 +148,8 @@ def _listing_run(convert):
     convert(inst, pairs), or OVERFLOW past the pair cap."""
     def run(inst, mode, ctx):
         cap = _resolve_pair_cap(inst, ctx)
-        probe = (decremental_trace_adapter(inst) if mode == "dec"
-                 else build_subconn_probe(inst))
+        probe = (DecrementalTraceAdapter(inst) if mode == "dec"
+                 else SubconnProbe(inst))
         pairs, c = list_pairs(inst, probe, delta=cap)
         if pairs == OVERFLOW:
             return OVERFLOW, c
@@ -181,7 +181,7 @@ REDUCTIONS: dict[str, Reduction] = {
     "st-reach": _sat_entry(sat_via_st_reach),
     "diam": _sat_entry(sat_via_diam),
     "subunion": _sat_entry(sat_via_subunion),
-    "connsub": _sat_entry(sat_via_subunion, factory=subunion_via_connsub()),
+    "connsub": _sat_entry(sat_via_subunion, factory=SubunionViaConnsub),
     "empty-pp": _sat_entry(sat_via_empty_pp, modes=("full",)),
     "tri-streach": _anchor_entry(triangle_via_streach, ("full", "inc")),
     "tri-streach-dec": Reduction(

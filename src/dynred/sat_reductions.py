@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from . import limits
 from .engines import (
+    DirectEngine,
     Mode,
     ProblemKind,
     Toggle,
     _as_mode,
-    direct_factory,
     innermost,
     inverse,
     run_stage,
@@ -73,10 +73,6 @@ class FailTable:
     fail: list[list[frozenset[int]]]
     _stage_pos: list[int]
     _stage_neg: list[int]
-
-    def stage_satisfies(self, j: int, r: int) -> bool:
-        """Does stage assignment r satisfy clause j via a leftover variable?"""
-        return bool(r & self._stage_pos[j]) or bool(self._stage_neg[j] & ~r)
 
     def unsat_indices(self, r: int) -> list[int]:
         """The clauses stage assignment r leaves unsatisfied, ascending."""
@@ -165,7 +161,7 @@ def _engine_state(handle, view: str = "_state_tuple"):
     """The innermost engine's graph or sets as their method view gives them,
     with the sorted scope of a set system; by default a tuple that is equal
     exactly when the states are."""
-    st = innermost(handle).state
+    st = innermost(handle)
     if st.graph is not None:
         return getattr(st.graph, view)()
     scope = tuple(sorted(st.scope)) if st.scope is not None else None
@@ -207,7 +203,7 @@ def _toggle(mode: Mode, count: int, make) -> Toggle:
 
 
 def sat_via_ssr(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                factory=direct_factory, check_isolation=False):
+                factory=DirectEngine, check_isolation=False):
     """Satisfiability via source reach counting.
 
     Clause nodes point at the assignments failing them; the source points at
@@ -305,7 +301,7 @@ def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
 
 
 def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                factory=direct_factory, check_isolation=False):
+                factory=DirectEngine, check_isolation=False):
     """Satisfiability via the two-or-more SCC gap.
 
     Permanent arcs: every assignment node points at a collector s, every
@@ -320,7 +316,7 @@ def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
 
 
 def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                    factory=direct_factory, check_isolation=False):
+                    factory=DirectEngine, check_isolation=False):
     """Satisfiability via the largest SCC size.
 
     Same cycle structure as sat_via_sc2 but without the second collector.
@@ -345,7 +341,7 @@ def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
 
 
 def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
-                     mode="full", factory=direct_factory, check_isolation=False):
+                     mode="full", factory=DirectEngine, check_isolation=False):
     """Satisfiability via a 2-versus-more-than-k SCC count gap.
 
     The sc2 construction with every assignment node cloned k times: an
@@ -389,7 +385,7 @@ def _two_block_host(t: FailTable, mode: Mode, extra: int = 0, **graph_kw):
 
 
 def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
-                     factory=direct_factory, check_isolation=False):
+                     factory=DirectEngine, check_isolation=False):
     """Satisfiability via all-pairs set reachability over two variable blocks.
 
     Left assignment nodes point at the clauses they fail, mirrored clause
@@ -411,7 +407,7 @@ def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
 
 
 def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
-                 factory=direct_factory, check_isolation=False):
+                 factory=DirectEngine, check_isolation=False):
     """Satisfiability via a diameter 3-versus-4 gap.
 
     Undirected double-block layout with collectors s (left), s2 (right) and
@@ -458,7 +454,7 @@ def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
 
 
 def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                     factory=direct_factory, check_isolation=False):
+                     factory=DirectEngine, check_isolation=False):
     """Satisfiability via scoped set union coverage.
 
     One set per clause holding the assignments that fail it; a stage scopes
@@ -477,7 +473,7 @@ def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
 
 
 def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                     factory=direct_factory):
+                     factory=DirectEngine):
     """Satisfiability via emptiness of iterated set intersections.
 
     One set per clause holding the assignments that satisfy it, plus the full

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .engines import Mode, ProblemKind, Toggle, _as_mode, direct_factory, run_stage
+from .engines import DirectEngine, Mode, ProblemKind, Toggle, _as_mode, run_stage
 from .model import (
     ActivateNode,
     ConstructionError,
@@ -114,7 +114,7 @@ def build_streach_gadget(g: Graph) -> Graph:
     return h
 
 
-def triangle_via_streach(g: Graph, *, mode="full", factory=direct_factory):
+def triangle_via_streach(g: Graph, *, mode="full", factory=DirectEngine):
     """Anchor search with two arc insertions and one reach query per vertex."""
     _require_undirected(g)
     mode = _as_mode(mode)
@@ -203,7 +203,7 @@ def build_streach_trees(g: Graph) -> tuple[Graph, TreeLayout]:
     return h, lay
 
 
-def triangle_via_streach_decremental(g: Graph, *, factory=direct_factory):
+def triangle_via_streach_decremental(g: Graph, *, factory=DirectEngine):
     """Anchor search by deletions only, via the routing trees.
 
     A depth-first sweep keeps exactly one root-to-leaf path open per stage:
@@ -265,7 +265,7 @@ def build_subconn_gadget(g: Graph, *, start_active: bool) -> Graph:
     return h
 
 
-def triangle_via_subconn(g: Graph, *, mode="full", factory=direct_factory):
+def triangle_via_subconn(g: Graph, *, mode="full", factory=DirectEngine):
     """Anchor search by activating each vertex's neighborhood.
 
     With exactly the copies of N(x) active, s and t connect exactly when
@@ -307,7 +307,7 @@ def build_5bpm_gadget(g: Graph, *, pair_edges: bool = True) -> Graph:
     return h
 
 
-def triangle_via_5bpm(g: Graph, *, mode="full", factory=direct_factory):
+def triangle_via_5bpm(g: Graph, *, mode="full", factory=DirectEngine):
     """Anchor search via matchings free of length-5 augmenting paths.
 
     Stage x removes the private pair edges of N(x)'s copies; any such
@@ -354,7 +354,7 @@ def build_17bpm_gadget(g: Graph, *, anchor_pairs: bool = True) -> Graph:
     return h
 
 
-def triangle_via_17bpm(g: Graph, *, mode="full", factory=direct_factory):
+def triangle_via_17bpm(g: Graph, *, mode="full", factory=DirectEngine):
     """Anchor search via matchings free of length-17 augmenting paths.
 
     Stage x removes only x's two outer pair edges; the matching size is at
@@ -387,7 +387,7 @@ def triangle_via_17bpm(g: Graph, *, mode="full", factory=direct_factory):
 # set-system routes
 
 
-def triangle_via_empty_pp(g: Graph, *, factory=direct_factory):
+def triangle_via_empty_pp(g: Graph, *, factory=DirectEngine):
     """Edge scan over neighborhood sets: one intersection and one emptiness
     query per edge; N(u) and N(v) share a member exactly when {u, v} closes
     a triangle."""
@@ -421,7 +421,7 @@ def _fold_sets(handle, set_ids) -> list[int | None]:
     return folded
 
 
-def triangle_via_pp(g: Graph, *, factory=direct_factory, seed: int = 0):
+def triangle_via_pp(g: Graph, *, factory=DirectEngine, seed: int = 0):
     """Two-phase membership detection over neighborhood sets.
 
     The degree threshold is the cube root of the edge count. High-degree

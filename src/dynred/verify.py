@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .engines import (
     KINDS,
+    DirectEngine,
     Mode,
     ProblemKind,
-    direct_factory,
     innermost,
 )
 from .generators import random_cnf, random_graph, random_set_system
@@ -48,10 +48,10 @@ from .oracles import (
 )
 from .pair_listing import (
     OVERFLOW,
+    DecrementalTraceAdapter,
+    SubconnProbe,
     brute_force_pairs,
     brute_force_triangles,
-    build_subconn_probe,
-    decremental_trace_adapter,
     gen_tripartite_instance,
     list_pairs,
     pairs_to_triangles,
@@ -265,7 +265,7 @@ def threesum_trial(rng: random.Random, max_n: int):
     # Default delta can sit below the pair count on tiny instances; lift it
     # so this run never overflows and the bound checks stay meaningful.
     delta = max(inst.delta, len(inst.e_ab))
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     pairs, c = list_pairs(inst, probe, delta=delta)
     checks.append(("pairs:brute-force", pairs == want,
                    f"{note} got={pairs if pairs == OVERFLOW else len(pairs)}"))
@@ -286,12 +286,12 @@ def threesum_trial(rng: random.Random, max_n: int):
                    f"{note} got={len(tris)}"))
 
     if want:
-        over, _ = list_pairs(inst, build_subconn_probe(inst), delta=0)
+        over, _ = list_pairs(inst, SubconnProbe(inst), delta=0)
         checks.append(("overflow-sentinel", over == OVERFLOW,
                        f"{note} got={over!r}"))
 
-    adapter = decremental_trace_adapter(inst)
-    fresh = build_subconn_probe(inst)
+    adapter = DecrementalTraceAdapter(inst)
+    fresh = SubconnProbe(inst)
     agree = True
     detail = ""
     for _ in range(6):
@@ -304,7 +304,7 @@ def threesum_trial(rng: random.Random, max_n: int):
     checks.append(("adapter:probe-agreement", agree, f"{note} {detail}"))
 
     if inst.side <= 8:
-        pairs2, c2 = list_pairs(inst, decremental_trace_adapter(inst),
+        pairs2, c2 = list_pairs(inst, DecrementalTraceAdapter(inst),
                                 delta=delta)
         checks.append(("adapter:pairs", pairs2 == want,
                        f"{note} got={pairs2}"))
@@ -450,21 +450,21 @@ def _random_query(kind: ProblemKind, state, rng: random.Random):
 def rollback_trace(kind: ProblemKind, rng: random.Random, max_n: int):
     """Checkpoint, mutate, roll back; the state digest must return exactly."""
     inst, aux = random_engine_instance(kind, rng, max_n)
-    eng = direct_factory(kind, Mode.FULL, inst, scope=aux.get("scope"))
+    eng = DirectEngine(kind, Mode.FULL, inst, scope=aux.get("scope"))
     base = _engine_digest(eng)
     cp = eng.checkpoint()
     applied = 0
     for _ in range(rng.randint(1, 12)):
-        op = random_valid_op(kind, eng.state, rng, aux)
+        op = random_valid_op(kind, eng, rng, aux)
         if op is None:
             continue
         eng.update(op)
         applied += 1
         if rng.random() < 0.3:
-            eng.query(_random_query(kind, eng.state, rng))
+            eng.query(_random_query(kind, eng, rng))
         if rng.random() < 0.2:
             inner = eng.checkpoint()
-            nested = random_valid_op(kind, eng.state, rng, aux)
+            nested = random_valid_op(kind, eng, rng, aux)
             if nested is not None:
                 eng.update(nested)
             eng.rollback(inner)
@@ -484,10 +484,10 @@ def wrapper_trace(name: str, rng: random.Random, max_n: int):
 
     inst, aux = random_engine_instance(kind, rng, max_n)
     scope = aux.get("scope")
-    direct = direct_factory(kind, Mode.FULL, inst, scope=scope)
-    wrapped = cls(kind, Mode.FULL, inst, direct_factory, scope=scope)
+    direct = DirectEngine(kind, Mode.FULL, inst, scope=scope)
+    wrapped = cls(kind, Mode.FULL, inst, scope=scope)
 
-    inner_nodes = innermost(wrapped).state.graph.node_count
+    inner_nodes = innermost(wrapped).graph.node_count
     if inner_nodes != cls.inner_nodes(inst):
         return False, f"{name}: inner size {inner_nodes}"
 
@@ -495,7 +495,7 @@ def wrapper_trace(name: str, rng: random.Random, max_n: int):
         return False, f"{name}: initial answers differ"
     ops = 0
     for _ in range(rng.randint(1, 10)):
-        op = random_valid_op(kind, direct.state, rng, aux)
+        op = random_valid_op(kind, direct, rng, aux)
         if op is None:
             continue
         direct.update(op)
@@ -506,7 +506,7 @@ def wrapper_trace(name: str, rng: random.Random, max_n: int):
     if rng.random() < 0.5:
         cp_d, cp_w = direct.checkpoint(), wrapped.checkpoint()
         for _ in range(rng.randint(1, 3)):
-            op = random_valid_op(kind, direct.state, rng, aux)
+            op = random_valid_op(kind, direct, rng, aux)
             if op is None:
                 continue
             direct.update(op)

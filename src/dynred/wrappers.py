@@ -2,7 +2,9 @@
 
 Each wrapper presents one problem kind while internally running an engine for
 a different kind. Updates are translated with constant fan-out and the inner
-engine can itself be a wrapper, so wrappers compose.
+engine can itself be a wrapper, so wrappers compose. A wrapper class is its
+own engine factory, over a DirectEngine unless partial(cls, inner_factory=f)
+puts it over engines made by f, such as another wrapper class.
 
 A wrapper is an EngineState of the outer kind, loaded with the outer
 instance after the wrapper's own instance checks. An outer op is applied to
@@ -25,17 +27,15 @@ wrapper's own state, goes no further.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .engines import (
     KINDS,
     Checkpoint,
+    DirectEngine,
     EngineState,
     ProblemKind,
     _as_kind,
     _as_mode,
     check_query,
-    direct_factory,
     live_index,
 )
 from .model import (
@@ -62,12 +62,13 @@ class _WrapperBase(EngineState):
     subclass sets its name, the kind it serves, the kind and query of its
     inner engine and inner_nodes(instance), the node count of the inner
     instance. Its _check(instance) raises DomainError on an instance it
-    cannot carry, and its _host(instance) builds the inner instance."""
+    cannot carry, and its _host(instance) builds the inner instance. The
+    class is an engine factory; inner_factory defaults to DirectEngine."""
 
     outer_kind: ProblemKind = None  # set by subclasses
     inner_kind: ProblemKind = None
 
-    def __init__(self, kind, mode, instance, inner_factory, *, scope=None):
+    def __init__(self, kind, mode, instance, inner_factory=DirectEngine, *, scope=None):
         kind = _as_kind(kind)
         if kind is not self.outer_kind:
             raise DomainError(
@@ -116,14 +117,6 @@ class _WrapperBase(EngineState):
     def _interpret(self, inner_answer):
         """The outer answer for the inner engine's answer."""
         return inner_answer
-
-
-def _factory_maker(cls):
-    """The public maker for cls: maker(inner_factory) returns an engine
-    factory that builds cls over engines made by inner_factory."""
-    def maker(inner_factory=direct_factory):
-        return partial(cls, inner_factory=inner_factory)
-    return maker
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +170,6 @@ class SubconnViaStreach(_WrapperBase):
         if isinstance(op, InsertEdge):
             return [InsertEdge(n + op.u, op.v), InsertEdge(n + op.v, op.u)]
         return [DeleteEdge(n + op.u, op.v), DeleteEdge(n + op.v, op.u)]
-
-
-subconn_via_streach = _factory_maker(SubconnViaStreach)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +238,6 @@ class StreachViaBpm(_WrapperBase):
         return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
 
 
-streach_via_bpm = _factory_maker(StreachViaBpm)
-
-
 # ---------------------------------------------------------------------------
 # shortest path via max-weight perfect matching
 
@@ -310,9 +297,6 @@ class StspViaBwm(_WrapperBase):
         return None if w is None else self._offset - w
 
 
-stsp_via_bwm = _factory_maker(StspViaBwm)
-
-
 # ---------------------------------------------------------------------------
 # reachability via strong connectivity
 
@@ -364,9 +348,6 @@ class StreachViaSc(_WrapperBase):
         return [type(op)(op.u, op.v)]  # same node ids inside
 
 
-streach_via_sc = _factory_maker(StreachViaSc)
-
-
 # ---------------------------------------------------------------------------
 # scoped union via induced connectivity
 
@@ -413,8 +394,6 @@ class SubunionViaConnsub(_WrapperBase):
     def _translate(self, op):
         return self._toggles[type(op)][op.set_id]
 
-
-subunion_via_connsub = _factory_maker(SubunionViaConnsub)
 
 # every wrapper, in the order the engines suite of verify drives them
 WRAPPERS = (SubconnViaStreach, StreachViaBpm, StreachViaSc, StspViaBwm,

@@ -15,9 +15,9 @@ import pytest
 
 from dynred.engines import (
     KINDS,
+    DirectEngine,
     Mode,
     ProblemKind,
-    direct_factory,
     innermost,
 )
 from dynred.model import (
@@ -39,11 +39,11 @@ from dynred.model import (
 from dynred.sat_reductions import _engine_digest
 from dynred.verify import random_engine_instance, random_valid_op
 from dynred.wrappers import (
-    stsp_via_bwm,
-    streach_via_bpm,
-    streach_via_sc,
-    subconn_via_streach,
-    subunion_via_connsub,
+    StreachViaBpm,
+    StreachViaSc,
+    StspViaBwm,
+    SubconnViaStreach,
+    SubunionViaConnsub,
 )
 
 _ERRORS = (DomainError, StateError, ModeError, GuardError)
@@ -52,11 +52,11 @@ SET_KINDS = {k for k, spec in KINDS.items() if spec.instance is SetSystem}
 NODE_OP_KINDS = {k for k, spec in KINDS.items() if "node" in spec.families}
 
 WRAPPERS = {
-    "subconn-via-streach": (ProblemKind.ST_SUBCONN, subconn_via_streach()),
-    "streach-via-bpm": (ProblemKind.ST_REACH, streach_via_bpm()),
-    "streach-via-sc": (ProblemKind.ST_REACH, streach_via_sc()),
-    "stsp-via-bwm": (ProblemKind.ST_SP, stsp_via_bwm()),
-    "subunion-via-connsub": (ProblemKind.SUB_UNION, subunion_via_connsub()),
+    "subconn-via-streach": (ProblemKind.ST_SUBCONN, SubconnViaStreach),
+    "streach-via-bpm": (ProblemKind.ST_REACH, StreachViaBpm),
+    "streach-via-sc": (ProblemKind.ST_REACH, StreachViaSc),
+    "stsp-via-bwm": (ProblemKind.ST_SP, StspViaBwm),
+    "subunion-via-connsub": (ProblemKind.SUB_UNION, SubunionViaConnsub),
 }
 
 
@@ -139,7 +139,7 @@ def _drive(handle, mirror, kind, rng, aux, steps):
     number of updates that raised."""
     failed = 0
     for _ in range(steps):
-        op = _next_op(kind, mirror.state, rng, aux)
+        op = _next_op(kind, mirror, rng, aux)
         before = _snapshot(handle)
         try:
             handle.update(op)
@@ -162,7 +162,7 @@ def test_failed_engine_update_changes_nothing(kind):
     for _ in range(12):
         mode = rng.choice(list(Mode))
         inst, aux = random_engine_instance(kind, rng, 7)
-        eng = direct_factory(kind, mode, inst, scope=aux.get("scope"))
+        eng = DirectEngine(kind, mode, inst, scope=aux.get("scope"))
         if rng.random() < 0.5:
             eng.checkpoint()  # updates are logged too
         failed += _drive(eng, eng, kind, rng, aux, 30)
@@ -179,7 +179,7 @@ def test_failed_wrapper_update_changes_nothing(name):
         inst, aux = random_engine_instance(kind, rng, 7)
         scope = aux.get("scope")
         handle = factory(kind, mode, inst, scope=scope)
-        mirror = direct_factory(kind, mode, inst, scope=scope)
+        mirror = DirectEngine(kind, mode, inst, scope=scope)
         if rng.random() < 0.5:
             handle.checkpoint()
         failed += _drive(handle, mirror, kind, rng, aux, 30)
@@ -193,7 +193,7 @@ def test_two_arc_fanout_rejects_bad_ids_before_forwarding(op):
     g = Graph(4, s=0, t=3, active={1})
     g.add_edge(0, 1)
     g.add_edge(2, 3)
-    handle = subconn_via_streach()(ProblemKind.ST_SUBCONN, "full", g)
+    handle = SubconnViaStreach(ProblemKind.ST_SUBCONN, "full", g)
     before = _snapshot(handle)
     with pytest.raises(DomainError):
         handle.update(op)
@@ -220,9 +220,9 @@ def test_wrapper_raises_what_the_direct_engine_raises(name):
         inst, aux = random_engine_instance(kind, rng, 7)
         scope = aux.get("scope")
         handle = factory(kind, mode, inst, scope=scope)
-        direct = direct_factory(kind, mode, inst, scope=scope)
+        direct = DirectEngine(kind, mode, inst, scope=scope)
         for _ in range(30):
-            op = _next_op(kind, direct.state, rng, aux)
+            op = _next_op(kind, direct, rng, aux)
             got, want = _outcome(handle, op), _outcome(direct, op)
             if got != want:
                 mismatched.append((trial, mode.value, op, got, want))
@@ -236,9 +236,8 @@ _ALLOW = {Mode.FULL: ("insert", "delete"), Mode.INCREMENTAL: ("insert",),
 
 def _valid_updates(handle, kind, rng, aux, steps):
     """Apply up to steps random valid ops that the mode allows."""
-    outer = getattr(handle, "_outer", None) or handle.state
     for _ in range(steps):
-        op = random_valid_op(kind, outer, rng, aux, allow=_ALLOW[handle.mode])
+        op = random_valid_op(kind, handle, rng, aux, allow=_ALLOW[handle.mode])
         if op is not None:
             handle.update(op)
 
@@ -287,9 +286,9 @@ def _check_misuse(factory, kind, stranger_of, name):
 
 @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
 def test_misused_checkpoint_changes_nothing(kind):
-    wrapper = subconn_via_streach()(
+    wrapper = SubconnViaStreach(
         ProblemKind.ST_SUBCONN, "full", Graph(2, s=0, t=1, active=set()))
-    _check_misuse(direct_factory, kind,
+    _check_misuse(DirectEngine, kind,
                   lambda handle, mode, inst, scope: wrapper.checkpoint(),
                   kind.value)
 
@@ -302,6 +301,6 @@ def test_misused_wrapper_checkpoint_changes_nothing(name, stranger):
     def stranger_of(handle, mode, inst, scope):
         if stranger == "innermost":  # live on the engine under the wrapper
             return innermost(handle).checkpoint()
-        return direct_factory(kind, mode, inst, scope=scope).checkpoint()
+        return DirectEngine(kind, mode, inst, scope=scope).checkpoint()
 
     _check_misuse(factory, kind, stranger_of, name)

@@ -10,7 +10,7 @@ import pytest
 
 from dynred import limits
 from dynred.cli import main
-from dynred.engines import Mode, ProblemKind, engine_new, engine_query
+from dynred.engines import EngineState, Mode, ProblemKind
 from dynred.model import Diameter, Graph, GuardError, MaxWeightPmWeight
 
 
@@ -28,13 +28,13 @@ def _cycle(n, **kw):
 ], ids=["diameter", "bwmatch"])
 def test_query_past_the_cap_raises_and_is_not_counted(monkeypatch, kind, query,
                                                       g, cells):
-    state = engine_new(kind, Mode.FULL, g)
+    state = EngineState(kind, Mode.FULL, g)
     monkeypatch.setattr(limits, "MAX_DENSE_CELLS", cells - 1)
     with pytest.raises(GuardError, match="dense-buffer cap"):
-        engine_query(state, query)
+        state.query(query)
     assert state.counters.queries == 0
     monkeypatch.setattr(limits, "MAX_DENSE_CELLS", cells)
-    assert engine_query(state, query) == 3
+    assert state.query(query) == 3
     assert state.counters.queries == 1
 
 

@@ -16,15 +16,11 @@ import pytest
 
 from dynred import oracles
 from dynred.engines import (
+    DirectEngine,
+    EngineState,
     Mode,
     ProblemKind,
     compute_kaug_free_matching,
-    direct_factory,
-    engine_checkpoint,
-    engine_new,
-    engine_query,
-    engine_rollback,
-    engine_update,
     inverse,
     run_stage,
 )
@@ -135,8 +131,8 @@ def test_engine_views_follow_updates_rollbacks_and_restores(kind, seed, batched)
     for _ in range(rng.randint(0, n)):
         g.add_edge(*_random_edge(rng, g, reds, blues, 0.0),
                    rng.randint(1, 9) if weighted else None)
-    eng = direct_factory(kind, Mode.FULL, g)
-    h = eng.state.graph
+    eng = DirectEngine(kind, Mode.FULL, g)
+    h = eng.graph
     rows = kind is not ProblemKind.BWMATCH  # which reads the sides alone
     check = _checker(rng, batched, rows)
     live = []
@@ -201,8 +197,8 @@ def _answers_depend_only_on_edges(kind, rng, eng, h):
         with pytest.raises(DomainError):
             eng.query(q)
         return
-    fresh = engine_new(kind, Mode.FULL, h)  # a copy with rebuilt sets
-    assert eng.query(q) == engine_query(fresh, q)
+    fresh = EngineState(kind, Mode.FULL, h)  # a copy with rebuilt sets
+    assert eng.query(q) == fresh.query(q)
     if kind is ProblemKind.KBPM:
         mate = compute_kaug_free_matching(h, q.k)
         assert not oracles.has_short_augpath(h, mate, q.k)
@@ -258,13 +254,13 @@ def test_engine_on_non_bipartite_graph_is_refused_after_a_stage_closes_an_odd_cy
     g = Graph(4)
     for u, v in ((0, 1), (1, 2), (2, 3)):
         g.add_edge(u, v)
-    eng = direct_factory(ProblemKind.KBPM, Mode.FULL, g)
+    eng = DirectEngine(ProblemKind.KBPM, Mode.FULL, g)
     with pytest.raises(DomainError, match="not bipartite"):
         run_stage(eng, [InsertEdge(0, 2)], KAugFreeMatchingSize(1),
                   undo=[DeleteEdge(0, 2)])
     eng.update(DeleteEdge(0, 2))  # the stage stopped before its restore
     assert eng.query(KAugFreeMatchingSize(1)) == 2
-    _check_views(eng.state.graph)
+    _check_views(eng.graph)
 
 
 def test_copy_carries_no_view():
@@ -322,7 +318,7 @@ def test_interleaved_views_equal_fresh_builds(seed, directed):
     rng = random.Random(f"interleaved/{directed}/{seed}")
     n = rng.randint(6, 16)
     kind = ProblemKind.SC if directed else ProblemKind.DIAMETER
-    state = engine_new(kind, Mode.FULL, Graph(n, directed=directed))
+    state = EngineState(kind, Mode.FULL, Graph(n, directed=directed))
     g = state.graph
     checks = [_check_columns, _check_rows] + ([] if directed else [_check_sides])
     columns_from = rng.randrange(20, 120)
@@ -330,19 +326,19 @@ def test_interleaved_views_equal_fresh_builds(seed, directed):
     for step in range(400):
         r = rng.random()
         if r < 0.08:
-            live.append((engine_checkpoint(state), g.copy()))
+            live.append((state.checkpoint(), g.copy()))
         elif r < 0.16 and live:
             i = rng.randrange(len(live))
             cp, before = live[i]
             del live[i:]  # a rollback consumes every later checkpoint
-            engine_rollback(state, cp)
+            state.rollback(cp)
             assert g == before
         else:
             edges = g.edges()
             if edges and (rng.random() < 0.45 or len(edges) >= 2 * n):
                 u, v = rng.choice(edges)
                 if live or rng.random() < 0.5:  # an unlogged edit would
-                    engine_update(state, DeleteEdge(u, v))  # break a rollback
+                    state.update(DeleteEdge(u, v))  # break a rollback
                 else:
                     g._unlink(u, v)
             else:
@@ -350,7 +346,7 @@ def test_interleaved_views_equal_fresh_builds(seed, directed):
                 if g.has_edge(u, v):
                     continue
                 if live or rng.random() < 0.5:
-                    engine_update(state, InsertEdge(u, v))
+                    state.update(InsertEdge(u, v))
                 else:
                     g._link(u, v, None)
         if step == columns_from:

@@ -9,13 +9,12 @@ import pytest
 
 from dynred import oracles
 from dynred.engines import (
+    EngineState,
     ProblemKind,
     _active_nodes,
     _bfs_from,
     _tarjan_scc_sizes,
     compute_kaug_free_matching,
-    engine_new,
-    engine_query,
 )
 from dynred.generators import random_bipartite, random_graph
 from dynred.model import (
@@ -33,7 +32,7 @@ from dynred.model import (
 
 
 def query(kind, g, q):
-    return engine_query(engine_new(kind, "full", g), q)
+    return EngineState(kind, "full", g).query(q)
 
 
 @pytest.mark.parametrize("n,c", [(150, 1.5), (300, 1.0), (400, 3.0), (600, 2.0)])
@@ -107,11 +106,11 @@ def assert_matching(g, mate):
 def test_kbpm_matches_oracle(nl, nr, c):
     g = random_bipartite(random.Random(nl + nr), nl, nr, c / max(nl, nr))
     for k in (1, 3, 5):
-        st = engine_new(ProblemKind.KBPM, "full", g)
+        st = EngineState(ProblemKind.KBPM, "full", g)
         mate = compute_kaug_free_matching(g, k)
         assert_matching(g, mate)
         assert not oracles.has_short_augpath(g, mate, k)
-        assert engine_query(st, KAugFreeMatchingSize(k)) == len(mate) // 2
+        assert st.query(KAugFreeMatchingSize(k)) == len(mate) // 2
     mate = compute_kaug_free_matching(g)
     assert_matching(g, mate)
     expected = oracles.oracle_matching(g)

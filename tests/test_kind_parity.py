@@ -2,7 +2,7 @@
 
 `tests/data/kind_outcomes.json` pins, as recorded before the problem-kind
 metadata moved into one table:
-  - "construct": `engine_new` for every kind on about twenty instance
+  - "construct": `EngineState` for every kind on about twenty instance
     shapes (orientation, weights, s/t, s = t, s_set/t_set, active set,
     non-bipartite, wrong instance type), with and without a scope;
   - "wrap": the same shapes through each of the five wrappers;
@@ -23,9 +23,6 @@ from dynred.engines import (
     EngineState,
     Mode,
     ProblemKind,
-    direct_factory,
-    engine_new,
-    engine_query,
 )
 from dynred.model import (
     AllStReachable,
@@ -49,21 +46,21 @@ from dynred.model import (
     UnionIsUniverse,
 )
 from dynred.wrappers import (
-    streach_via_bpm,
-    streach_via_sc,
-    stsp_via_bwm,
-    subconn_via_streach,
-    subunion_via_connsub,
+    StreachViaBpm,
+    StreachViaSc,
+    StspViaBwm,
+    SubconnViaStreach,
+    SubunionViaConnsub,
 )
 
 OUTCOMES = Path(__file__).with_name("data") / "kind_outcomes.json"
 
 _WRAPPERS = {
-    "subconn-via-streach": subconn_via_streach,
-    "streach-via-bpm": streach_via_bpm,
-    "streach-via-sc": streach_via_sc,
-    "stsp-via-bwm": stsp_via_bwm,
-    "subunion-via-connsub": subunion_via_connsub,
+    "subconn-via-streach": SubconnViaStreach,
+    "streach-via-bpm": StreachViaBpm,
+    "streach-via-sc": StreachViaSc,
+    "stsp-via-bwm": StspViaBwm,
+    "subunion-via-connsub": SubunionViaConnsub,
 }
 
 # a 4-cycle 0-1-2-3 (bipartite) plus, for the odd shapes, the chord {0, 2}
@@ -128,12 +125,12 @@ def _state_detail(state) -> str:
 
 def _construct(kind, shape, scope) -> str:
     return _outcome(lambda: _state_detail(
-        engine_new(kind, Mode.FULL, shape, scope=scope)))
+        EngineState(kind, Mode.FULL, shape, scope=scope)))
 
 
 def _wrap(name, kind, shape, scope) -> str:
     def build():
-        h = _WRAPPERS[name]()(kind, Mode.FULL, shape, scope=scope)
+        h = _WRAPPERS[name](kind, Mode.FULL, shape, scope=scope)
         return f"{h.counters.as_dict()} {h.inner.kind.value}"
     return _outcome(build)
 
@@ -146,7 +143,7 @@ _WRAPPED_KIND = {
     "subunion-via-connsub": ProblemKind.SUB_UNION,
 }
 
-# one instance per kind that engine_new accepts
+# one instance per kind that EngineState accepts
 _VALID = {
     ProblemKind.ST_REACH: ("dir-st", None),
     ProblemKind.REACH_COUNT: ("dir-s", None),
@@ -182,10 +179,10 @@ _QUERIES = (
 
 def _query(kind, q) -> str:
     shape, scope = _VALID[kind]
-    state = engine_new(kind, Mode.FULL, _shapes()[shape], scope=scope)
+    state = EngineState(kind, Mode.FULL, _shapes()[shape], scope=scope)
 
     def ask():
-        answer = engine_query(state, q)
+        answer = state.query(q)
         return f"{answer!r}"
     return f"{_outcome(ask)} queries={state.counters.queries}"
 
@@ -229,7 +226,7 @@ def _error_type(outcome: str) -> str | None:
 
 
 def test_wrappers_construct_exactly_when_their_outer_kind_does():
-    """A wrapper builds where engine_new of its outer kind builds, and
+    """A wrapper builds where EngineState of its outer kind builds, and
     raises the same exception type where it raises."""
     recorded = json.loads(OUTCOMES.read_text())
     shapes = _shapes()
@@ -245,11 +242,11 @@ def test_wrappers_construct_exactly_when_their_outer_kind_does():
 
 
 def test_every_engine_constructor_matches_the_construct_table():
-    """EngineState, DirectEngine and direct_factory are one constructor:
-    each checks and loads every shape as the recorded engine_new did."""
+    """EngineState and DirectEngine are one constructor: each checks and
+    loads every shape as the recorded EngineState did."""
     recorded = json.loads(OUTCOMES.read_text())["construct"]
     shapes = _shapes()
-    for make in (EngineState, DirectEngine, direct_factory):
+    for make in (EngineState, DirectEngine):
         differ = []
         for key, want in recorded.items():
             kind, label, sname = key.split()

@@ -109,7 +109,7 @@ def test_stage_values_match_per_vertex_brute_force():
         cap = 3 * (g.max_weight or 1)
         for i, z in stages:
             v = i - 1
-            nv = g.neighbors(v)
+            nv = g.out_neighbors(v)
             per_vertex = [
                 g.weight(v, a) + g.weight(v, b) + g.weight(a, b)
                 for a in sorted(nv) for b in sorted(nv)

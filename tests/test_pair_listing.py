@@ -12,8 +12,6 @@ from dynred.pair_listing import (
     TripartiteInstance,
     brute_force_pairs,
     brute_force_triangles,
-    build_subconn_probe,
-    decremental_trace_adapter,
     dump_instance,
     gen_tripartite_instance,
     list_pairs,
@@ -64,7 +62,7 @@ def test_generator_density_extremes():
     empty = gen_tripartite_instance(9, 2, 0.0, 3)
     assert not empty.e_ab and not empty.e_ac and not empty.e_bc
     full = gen_tripartite_instance(9, 2, 1.0, 3)
-    probe = build_subconn_probe(full)
+    probe = SubconnProbe(full)
     assert list_pairs(full, probe, delta=10 ** 6)[0] == brute_force_pairs(full)
 
 
@@ -115,7 +113,7 @@ def load_instance_roundtrip(inst):
 
 def test_probe_worked_example():
     inst = tiny_instance()
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     assert probe.eng.query(StConnectedImport()) is False
     leaf = probe.levels
     assert probe.probe(0, leaf, 1) is True   # b0 shares c0
@@ -130,7 +128,7 @@ def StConnectedImport():
 
 def test_probe_costs():
     inst = tiny_instance()
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     c = probe.counters
     before = (c.updates, c.queries, c.rollback_ops)
     probe.probe(1, 0, 1)  # no members: 1 query, no activations
@@ -143,7 +141,7 @@ def test_probe_costs():
 
 def test_block_sum_identity():
     inst = INSTANCES[0]
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     deg = {}
     for a, b in inst.e_ab:
         deg[a] = deg.get(a, 0) + 1
@@ -155,7 +153,7 @@ def test_block_sum_identity():
 
 
 def test_probe_domain_checks():
-    probe = build_subconn_probe(tiny_instance())
+    probe = SubconnProbe(tiny_instance())
     with pytest.raises(DomainError):
         probe.probe(5, 0, 1)
     with pytest.raises(DomainError):
@@ -166,7 +164,7 @@ def test_probe_domain_checks():
 
 def test_list_pairs_matches_brute_force():
     for inst in INSTANCES:
-        probe = build_subconn_probe(inst)
+        probe = SubconnProbe(inst)
         got, _ = list_pairs(inst, probe, delta=10 ** 6)
         assert got == brute_force_pairs(inst)
 
@@ -177,7 +175,7 @@ def test_list_pairs_no_triangles_probe_count():
         e_ab=frozenset({(0, 1), (2, 2), (1, 0)}),
         e_ac=frozenset(), e_bc=frozenset({(0, 0), (1, 1)}),
         degree_cap=2, delta=5)
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     got, c = list_pairs(inst, probe)
     assert got == []
     assert c.queries == inst.side  # one level-0 probe per a, nothing deeper
@@ -185,17 +183,17 @@ def test_list_pairs_no_triangles_probe_count():
 
 def test_list_pairs_overflow():
     inst = tiny_instance()
-    probe = build_subconn_probe(inst)
+    probe = SubconnProbe(inst)
     got, _ = list_pairs(inst, probe, delta=0)
     assert got == OVERFLOW
     # fresh probe: delta 1 holds the single pair without overflow
-    got, _ = list_pairs(inst, build_subconn_probe(inst), delta=1)
+    got, _ = list_pairs(inst, SubconnProbe(inst), delta=1)
     assert got == [(0, 0)]
 
 
 def test_probe_call_bound():
     for inst in INSTANCES:
-        probe = build_subconn_probe(inst)
+        probe = SubconnProbe(inst)
         got, c = list_pairs(inst, probe, delta=10 ** 6)
         assert got != OVERFLOW
         levels = _ceil_log2(inst.side)
@@ -204,7 +202,7 @@ def test_probe_call_bound():
 
 def test_activation_bound():
     for inst in INSTANCES:
-        probe = build_subconn_probe(inst)
+        probe = SubconnProbe(inst)
         got, c = list_pairs(inst, probe, delta=10 ** 6)
         levels = _ceil_log2(inst.side)
         assert c.updates <= 2 * (levels + 1) * max(1, len(inst.e_ab))
@@ -231,8 +229,8 @@ def test_adapter_agrees_with_subconn_probe():
     rng = random.Random(11)
     checked = 0
     for inst in INSTANCES[:8]:
-        sub = build_subconn_probe(inst)
-        adapter = decremental_trace_adapter(inst)
+        sub = SubconnProbe(inst)
+        adapter = DecrementalTraceAdapter(inst)
         levels = sub.levels
         for _ in range(15):
             a = rng.randrange(inst.side)
@@ -245,7 +243,7 @@ def test_adapter_agrees_with_subconn_probe():
 
 def test_adapter_drives_list_pairs():
     for inst in INSTANCES[:8]:
-        adapter = decremental_trace_adapter(inst)
+        adapter = DecrementalTraceAdapter(inst)
         got, c = list_pairs(inst, adapter, delta=10 ** 6)
         assert got == brute_force_pairs(inst)
         assert c.updates == c.rollback_ops  # every deletion undone
@@ -253,7 +251,7 @@ def test_adapter_drives_list_pairs():
 
 def test_adapter_singleton_block_cost():
     inst = tiny_instance()
-    adapter = decremental_trace_adapter(inst)
+    adapter = DecrementalTraceAdapter(inst)
     c = adapter.counters
     before = c.updates
     adapter.probe(0, adapter.levels, 1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynred.generators import random_cnf
-from dynred.engines import Mode, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind
 from dynred.model import (
     AddToScope,
     CnfFormula,
@@ -37,7 +37,7 @@ from dynred.sat_reductions import (
     sat_via_st_reach,
     sat_via_subunion,
 )
-from dynred.wrappers import subunion_via_connsub
+from dynred.wrappers import SubunionViaConnsub
 
 MODES = ["full", "inc", "dec"]
 
@@ -91,6 +91,12 @@ def test_compute_split_uses_exact_arithmetic():
             compute_split(4, bad)
 
 
+def stage_satisfies(t, j: int, r: int) -> bool:
+    """Does stage assignment r satisfy clause j via a leftover variable? The
+    per-clause reference that FailTable.unsat_indices is checked against."""
+    return bool(r & t._stage_pos[j]) or bool(t._stage_neg[j] & ~r)
+
+
 def test_fail_table_worked_example():
     f = CnfFormula(2, [[1, 2], [-1, 2]])
     t = build_fail_table(f, Fraction(1, 2))
@@ -112,7 +118,7 @@ def test_unsat_indices_agree_with_stage_satisfies(seed):
         t = build_fail_table(f, Fraction(rng.randint(1, 4), 4))
     for r in range(1 << t.stage_bits):
         assert t.unsat_indices(r) == [j for j in range(len(f.clauses))
-                                      if not t.stage_satisfies(j, r)]
+                                      if not stage_satisfies(t, j, r)]
 
 
 def test_fail_table_edge_clauses():
@@ -122,8 +128,8 @@ def test_fail_table_edge_clauses():
     assert t.fail[0][0] == frozenset()
     assert t.fail[0][1] == frozenset({0, 1})
     assert t.fail[0][2] == frozenset({0, 1})
-    assert t.stage_satisfies(1, 1) and not t.stage_satisfies(1, 0)
-    assert not t.stage_satisfies(2, 0) and not t.stage_satisfies(2, 1)
+    assert stage_satisfies(t, 1, 1) and not stage_satisfies(t, 1, 0)
+    assert not stage_satisfies(t, 2, 0) and not stage_satisfies(t, 2, 1)
 
 
 def test_fail_table_mixed_signs():
@@ -199,7 +205,7 @@ def test_appx_scc_rejects_tiny_k():
 @pytest.mark.parametrize("mode", MODES)
 def test_subunion_through_connectivity_wrapper(mode):
     for f in CORPUS[:12]:
-        answer, _ = sat_via_subunion(f, mode=mode, factory=subunion_via_connsub())
+        answer, _ = sat_via_subunion(f, mode=mode, factory=SubunionViaConnsub)
         assert answer == oracle_sat(f), (f.clauses, mode)
 
 
@@ -242,7 +248,7 @@ def test_stage_isolation_digest(fn, mode):
      UnionIsUniverse()),
 ], ids=["graph", "scope"])
 def test_stage_isolation_check_catches_a_leaked_update(kind, instance, leak, query):
-    handle = direct_factory(kind, Mode.FULL, instance)
+    handle = DirectEngine(kind, Mode.FULL, instance)
     # an empty undo list restores nothing, so the stage's update stays
     with pytest.raises(ConstructionError, match="not isolated"):
         _scan(handle, SimpleNamespace(stage_bits=1), True,

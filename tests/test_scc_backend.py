@@ -14,11 +14,11 @@ import pytest
 
 from dynred import engines
 from dynred.engines import (
+    DirectEngine,
     Mode,
     ProblemKind,
     _csgraph_scc_sizes,
     _tarjan_scc_sizes,
-    direct_factory,
     inverse,
     run_stage,
 )
@@ -131,8 +131,8 @@ def test_engine_answers_through_nested_rollbacks(kind, path):
     query, expect = _KINDS[kind]
     rng = random.Random(f"rollback/{kind.value}/{path}")
     for n, m in ((12, 20), (40, 160)):
-        eng = direct_factory(kind, Mode.FULL, _random_graph(rng, n, m))
-        g = eng.state.graph
+        eng = DirectEngine(kind, Mode.FULL, _random_graph(rng, n, m))
+        g = eng.graph
         g.arc_columns()
         cps = []  # (checkpoint, graph copy when it was taken)
         for _ in range(150):
@@ -155,8 +155,8 @@ def test_engine_answers_through_nested_rollbacks(kind, path):
 def test_engine_answers_after_stage_restores(kind, path):
     query, expect = _KINDS[kind]
     rng = random.Random(f"stages/{kind.value}/{path}")
-    eng = direct_factory(kind, Mode.FULL, _random_graph(rng, 40, 150))
-    g = eng.state.graph
+    eng = DirectEngine(kind, Mode.FULL, _random_graph(rng, 40, 150))
+    g = eng.graph
     start = g.copy()
     for _ in range(30):
         pairs = rng.sample([(u, v) for u in range(40) for v in range(40)

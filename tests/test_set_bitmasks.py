@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from dynred.engines import Mode, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind
 from dynred.model import (
     AddToScope,
     DomainError,
@@ -135,11 +135,11 @@ def _outcome(fn, *args):
 
 
 def _assert_same(handle, model):
-    sets = handle.state.sets
+    sets = handle.sets
     assert len(sets) == len(model.sets)
     assert [sets.get(i) for i in range(len(sets))] == model.sets
     assert sets.digest() == model.digest()
-    assert handle.state.scope == model.scope
+    assert handle.scope == model.scope
     for i in (-1, len(sets)):
         with pytest.raises(StateError, match=f"set id {i} out of range"):
             sets.get(i)
@@ -155,7 +155,7 @@ def test_engine_matches_frozenset_model(kind, seed):
     scope = None
     if kind is ProblemKind.SUB_UNION:
         scope = rng.sample(range(len(start)), rng.randint(0, len(start)))
-    handle = direct_factory(kind, Mode.FULL, SetSystem(universe, start), scope=scope)
+    handle = DirectEngine(kind, Mode.FULL, SetSystem(universe, start), scope=scope)
     model = FrozenModel(universe, start, scope if scope is not None else (
         set() if kind is ProblemKind.SUB_UNION else None))
     assert handle.counters.preprocess_units == model.preprocess_units

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynred.engines import DirectEngine, Mode, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind
 from dynred.generators import random_bipartite, random_graph
 from dynred.model import (
     DeactivateNode,
@@ -268,10 +268,6 @@ class _DeletionLog:
             def counters(self):
                 return inner.counters
 
-            @property
-            def state(self):
-                return inner.state
-
             def update(self, op):
                 if isinstance(op, DeleteEdge):
                     log.append((op.u, op.v))
@@ -327,7 +323,7 @@ def test_17bpm_threshold_law_direct_drive():
     for g in graphs:
         n = g.node_count
         h = build_17bpm_gadget(g)
-        eng = direct_factory(ProblemKind.KBPM, Mode.FULL, h)
+        eng = DirectEngine(ProblemKind.KBPM, Mode.FULL, h)
         in_triangle = {v for t in oracle_all_triangles(g) for v in t}
         for x in range(n):
             eng.update(DeleteEdge(x, n + x))

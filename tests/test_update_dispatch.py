@@ -21,9 +21,9 @@ from pathlib import Path
 
 from dynred.engines import (
     KINDS,
+    DirectEngine,
     Mode,
     ProblemKind,
-    direct_factory,
     run_stage,
 )
 from dynred.model import (
@@ -60,8 +60,8 @@ def _engine(kind, mode):
     elements in sets {0,1}, {2,3}, {1,2} (set 0 in scope)."""
     if kind in SET_KINDS:
         scope = {0} if kind is ProblemKind.SUB_UNION else None
-        return direct_factory(kind, mode, SetSystem(4, [[0, 1], [2, 3], [1, 2]]),
-                              scope=scope)
+        return DirectEngine(kind, mode, SetSystem(4, [[0, 1], [2, 3], [1, 2]]),
+                            scope=scope)
     weighted = kind in _WEIGHTED
     g = Graph(4, directed=kind in _DIRECTED, weighted=weighted,
               max_weight=5 if weighted else None, s=0, t=3,
@@ -69,7 +69,7 @@ def _engine(kind, mode):
               active={1} if kind in NODE_OP_KINDS else None)
     for u, v in ((0, 1), (2, 3)):
         g.add_edge(u, v, 2 if weighted else None)
-    return direct_factory(kind, mode, g)
+    return DirectEngine(kind, mode, g)
 
 
 def _valid_ops(kind):
@@ -160,7 +160,7 @@ def _toggle_edges(eng, count):
 def test_no_undo_log_without_a_checkpoint():
     eng = _engine(ProblemKind.ST_REACH, "full")
     _toggle_edges(eng, 1000)
-    assert eng.state._undo == []
+    assert eng._undo == []
     assert eng.counters.updates == 1000
     assert eng.counters.rollback_ops == 0
 
@@ -183,10 +183,10 @@ def test_nested_checkpoints_restore_and_count():
     eng.rollback(outer)
     assert _digest(eng) == base
     assert eng.counters.rollback_ops == 6
-    assert eng.state._undo == []
+    assert eng._undo == []
     # logging stops once no checkpoint is live
     eng.update(InsertEdge(1, 2))
-    assert eng.state._undo == []
+    assert eng._undo == []
 
 
 def test_checkpoint_after_unlogged_updates():
@@ -211,9 +211,9 @@ def test_abandoned_checkpoint_keeps_working():
                      keep_hit=True) is False
     assert run_stage(eng, [InsertEdge(1, 3)], StReachable(), undo=None,
                      keep_hit=True) is True
-    ((abandoned, _),) = eng.state._live
+    ((abandoned, _),) = eng._live
     eng.update(InsertEdge(0, 2))
-    assert len(eng.state._undo) == 2
+    assert len(eng._undo) == 2
     mid = _digest(eng)
     cp = eng.checkpoint()
     eng.update(DeleteEdge(0, 2))
@@ -224,19 +224,19 @@ def test_abandoned_checkpoint_keeps_working():
     eng.rollback(abandoned)
     assert _digest(eng) == base
     assert eng.counters.rollback_ops == 1 + 2 + 2
-    assert eng.state._undo == [] and not eng.state._live
+    assert eng._undo == [] and not eng._live
 
 
 def test_sub_union_rollback_restores_scope_and_answer():
     rng = random.Random(61)
     for _ in range(30):
         inst, aux = random_engine_instance(ProblemKind.SUB_UNION, rng, 8)
-        eng = direct_factory(ProblemKind.SUB_UNION, "full", inst,
-                             scope=aux["scope"])
+        eng = DirectEngine(ProblemKind.SUB_UNION, "full", inst,
+                           scope=aux["scope"])
         base = (_digest(eng), eng.query(UnionIsUniverse()))
         cp = eng.checkpoint()
         for _ in range(rng.randint(1, 10)):
-            op = random_valid_op(ProblemKind.SUB_UNION, eng.state, rng, aux)
+            op = random_valid_op(ProblemKind.SUB_UNION, eng, rng, aux)
             if op is not None:
                 eng.update(op)
         eng.rollback(cp)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from dynred.engines import Mode, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind
 from dynred.model import (
     ActivateNode,
     DeactivateNode,
@@ -46,8 +46,8 @@ def test_duplicate_and_missing_suppressed_arcs_raise(cls):
               max_weight=3 if weighted else None, s=0, t=3)
     g.add_edge(0, 1, w)
     kind = cls.outer_kind
-    direct = direct_factory(kind, Mode.FULL, g)
-    wrapped = cls(kind, Mode.FULL, g, direct_factory)
+    direct = DirectEngine(kind, Mode.FULL, g)
+    wrapped = cls(kind, Mode.FULL, g, DirectEngine)
     for h in (direct, wrapped):
         h.update(InsertEdge(1, 0, w))
         with pytest.raises(StateError):
@@ -64,7 +64,7 @@ def test_rollback_restores_suppressed_arcs(cls):
     g = Graph(3, directed=True, weighted=weighted,
               max_weight=3 if weighted else None, s=0, t=2)
     g.add_edge(2, 1, w)  # out of t: present from the start
-    h = cls(cls.outer_kind, Mode.FULL, g, direct_factory)
+    h = cls(cls.outer_kind, Mode.FULL, g, DirectEngine)
     cp = h.checkpoint()
     h.update(DeleteEdge(2, 1))
     h.update(InsertEdge(1, 0, w))
@@ -80,8 +80,8 @@ def test_rollback_restores_suppressed_arcs(cls):
 def test_terminal_toggles_checked_against_the_active_set():
     g = Graph(4, s=0, t=3, active={0, 1})
     g.add_edge(0, 1)
-    direct = direct_factory(ProblemKind.ST_SUBCONN, Mode.FULL, g)
-    wrapped = SubconnViaStreach(ProblemKind.ST_SUBCONN, Mode.FULL, g, direct_factory)
+    direct = DirectEngine(ProblemKind.ST_SUBCONN, Mode.FULL, g)
+    wrapped = SubconnViaStreach(ProblemKind.ST_SUBCONN, Mode.FULL, g, DirectEngine)
     for op in (ActivateNode(0), DeactivateNode(3), ActivateNode(3),
                ActivateNode(3), DeactivateNode(0), DeactivateNode(0)):
         assert _outcome(wrapped, op) == _outcome(direct, op), op
@@ -113,8 +113,8 @@ def test_wrapper_raises_like_direct_engine_across_rollbacks(cls):
     kind = cls.outer_kind
     for _ in range(40):
         inst, aux = random_engine_instance(kind, rng, 7)
-        direct = direct_factory(kind, Mode.FULL, inst)
-        wrapped = cls(kind, Mode.FULL, inst, direct_factory)
+        direct = DirectEngine(kind, Mode.FULL, inst)
+        wrapped = cls(kind, Mode.FULL, inst, DirectEngine)
         cps = []
         for step in range(30):
             r = rng.random()
@@ -128,8 +128,8 @@ def test_wrapper_raises_like_direct_engine_across_rollbacks(cls):
                 direct.rollback(cp_d)
                 wrapped.rollback(cp_w)
                 continue
-            g = direct.state.graph
-            op = (random_valid_op(kind, direct.state, rng, aux)
+            g = direct.graph
+            op = (random_valid_op(kind, direct, rng, aux)
                   if r < 0.55 else None) or _invalid_op(kind, g, rng)
             got, want = _outcome(wrapped, op), _outcome(direct, op)
             assert got == want, f"step {step}: {op!r} on {inst!r}"

@@ -1,8 +1,9 @@
 import random
+from functools import partial
 
 import pytest
 
-from dynred.engines import DirectEngine, Mode, ProblemKind, direct_factory
+from dynred.engines import DirectEngine, Mode, ProblemKind
 from dynred.model import (
     ActivateNode,
     AddToScope,
@@ -22,12 +23,11 @@ from dynred.model import (
     UnionIsUniverse,
 )
 from dynred.wrappers import (
+    StreachViaBpm,
+    StreachViaSc,
     StspViaBwm,
-    streach_via_bpm,
-    streach_via_sc,
-    stsp_via_bwm,
-    subconn_via_streach,
-    subunion_via_connsub,
+    SubconnViaStreach,
+    SubunionViaConnsub,
 )
 
 
@@ -54,15 +54,15 @@ def random_subconn_instance(rng, n):
 
 def test_subconn_wrapper_size_contract():
     g = build(4, [(0, 1), (1, 2), (2, 3)], s=0, t=3, active={1})
-    h = subconn_via_streach()(ProblemKind.ST_SUBCONN, "full", g)
-    assert h.inner.state.graph.node_count == 2 * 4
+    h = SubconnViaStreach(ProblemKind.ST_SUBCONN, "full", g)
+    assert h.inner.graph.node_count == 2 * 4
     # 2 arcs per edge plus one activation arc per always-on node {0, 1, 3}
-    assert h.inner.state.graph.edge_count == 2 * 3 + 3
+    assert h.inner.graph.edge_count == 2 * 3 + 3
 
 
 def test_subconn_wrapper_matches_direct():
     rng = random.Random(60)
-    factory = subconn_via_streach()
+    factory = SubconnViaStreach
     for _ in range(20):
         n = rng.randint(3, 8)
         g = random_subconn_instance(rng, n)
@@ -80,7 +80,7 @@ def test_subconn_wrapper_matches_direct():
 
 def test_subconn_wrapper_edge_ops_and_fanout():
     g = build(4, [(0, 1), (2, 3)], s=0, t=3, active={1, 2})
-    h = subconn_via_streach()(ProblemKind.ST_SUBCONN, "full", g)
+    h = SubconnViaStreach(ProblemKind.ST_SUBCONN, "full", g)
     assert not h.query(StConnected())
     h.update(InsertEdge(1, 2))
     assert h.query(StConnected())
@@ -93,18 +93,18 @@ def test_subconn_wrapper_edge_ops_and_fanout():
 
 def test_subconn_wrapper_suppresses_st_toggles():
     g = build(3, [(0, 1), (1, 2)], s=0, t=2, active={1})
-    h = subconn_via_streach()(ProblemKind.ST_SUBCONN, "full", g)
+    h = SubconnViaStreach(ProblemKind.ST_SUBCONN, "full", g)
     h.update(ActivateNode(0))  # s stays implicitly on; no inner traffic
     assert h.counters.updates == 1
     assert h.inner.counters.updates == 0
     with pytest.raises(ModeError):
-        subconn_via_streach()(ProblemKind.ST_SUBCONN, "dec", g).update(ActivateNode(0))
+        SubconnViaStreach(ProblemKind.ST_SUBCONN, "dec", g).update(ActivateNode(0))
 
 
 def test_subconn_wrapper_rejects_wrong_kind():
     g = build(2, [(0, 1)], directed=True, s=0, t=1)
     with pytest.raises(DomainError):
-        subconn_via_streach()(ProblemKind.ST_REACH, "full", g)
+        SubconnViaStreach(ProblemKind.ST_REACH, "full", g)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +125,13 @@ def random_streach_instance(rng, n, weighted=False):
 
 def test_streach_via_bpm_matches_direct():
     rng = random.Random(61)
-    factory = streach_via_bpm()
+    factory = StreachViaBpm
     for _ in range(25):
         n = rng.randint(2, 7)
         g = random_streach_instance(rng, n)
         direct = DirectEngine(ProblemKind.ST_REACH, "full", g)
         wrapped = factory(ProblemKind.ST_REACH, "full", g)
-        assert wrapped.inner.state.graph.node_count == 2 * n - 2
+        assert wrapped.inner.graph.node_count == 2 * n - 2
         mirror = g.copy()
         for _ in range(8):
             if rng.random() < 0.5 and mirror.edge_count:
@@ -151,7 +151,7 @@ def test_streach_via_bpm_matches_direct():
 
 def test_streach_via_bpm_suppresses_degenerate_arcs():
     g = build(3, [(0, 1)], directed=True, s=0, t=2)
-    h = streach_via_bpm()(ProblemKind.ST_REACH, "full", g)
+    h = StreachViaBpm(ProblemKind.ST_REACH, "full", g)
     h.update(InsertEdge(1, 0))  # arc into s: cannot matter
     h.update(InsertEdge(2, 1))  # arc out of t: cannot matter
     assert h.counters.updates == 2
@@ -163,7 +163,7 @@ def test_streach_via_bpm_suppresses_degenerate_arcs():
 
 def test_streach_via_sc_matches_direct():
     rng = random.Random(62)
-    factory = streach_via_sc()
+    factory = StreachViaSc
     for _ in range(25):
         n = rng.randint(2, 7)
         g = random_streach_instance(rng, n)
@@ -188,7 +188,7 @@ def test_streach_via_sc_matches_direct():
 
 def test_streach_via_sc_two_nodes():
     g = build(2, [], directed=True, s=0, t=1)
-    h = streach_via_sc()(ProblemKind.ST_REACH, "full", g)
+    h = StreachViaSc(ProblemKind.ST_REACH, "full", g)
     assert not h.query(StReachable())
     h.update(InsertEdge(0, 1))
     assert h.query(StReachable())
@@ -208,13 +208,13 @@ def test_offset_law_probe():
     probe.add_edge(1, 2, 2)      # pair edge for a
     probe.add_edge(0, 2, 1)      # arc s -> a, weight B - 1
     probe.add_edge(1, 3, 1)      # arc a -> t
-    w = direct_factory(ProblemKind.BWMATCH, Mode.FULL, probe).query(MaxWeightPmWeight())
+    w = DirectEngine(ProblemKind.BWMATCH, Mode.FULL, probe).query(MaxWeightPmWeight())
     assert (3 - 1) * 2 - w == 2
 
 
 def test_stsp_via_bwm_matches_direct_directed():
     rng = random.Random(63)
-    factory = stsp_via_bwm()
+    factory = StspViaBwm
     for _ in range(20):
         n = rng.randint(2, 6)
         g = random_streach_instance(rng, n, weighted=True)
@@ -241,7 +241,7 @@ def test_stsp_via_bwm_matches_direct_directed():
 
 def test_stsp_via_bwm_matches_direct_undirected():
     rng = random.Random(64)
-    factory = stsp_via_bwm()
+    factory = StspViaBwm
     for _ in range(15):
         n = rng.randint(2, 6)
         g = Graph(n, weighted=True, max_weight=9, s=0, t=n - 1)
@@ -257,11 +257,11 @@ def test_stsp_via_bwm_matches_direct_undirected():
 def test_stsp_via_bwm_fanout():
     g = Graph(4, directed=True, weighted=True, max_weight=5, s=0, t=3)
     g.add_edge(0, 1, 2)
-    h = stsp_via_bwm()(ProblemKind.ST_SP, "full", g)
+    h = StspViaBwm(ProblemKind.ST_SP, "full", g)
     h.update(InsertEdge(1, 3, 4))
     assert h.inner.counters.updates == 1  # directed arc maps to one edge
     und = Graph(4, weighted=True, max_weight=5, s=0, t=3)
-    hu = stsp_via_bwm()(ProblemKind.ST_SP, "full", und)
+    hu = StspViaBwm(ProblemKind.ST_SP, "full", und)
     hu.update(InsertEdge(1, 2, 4))
     assert hu.inner.counters.updates == 2  # undirected edge carries both arcs
     hu.update(InsertEdge(0, 1, 4))
@@ -273,7 +273,7 @@ def test_stsp_via_bwm_counters_match_direct():
     g = Graph(3, directed=True, weighted=True, max_weight=5, s=0, t=2)
     g.add_edge(0, 1, 1)
     direct = DirectEngine(ProblemKind.ST_SP, "full", g)
-    wrapped = stsp_via_bwm()(ProblemKind.ST_SP, "full", g)
+    wrapped = StspViaBwm(ProblemKind.ST_SP, "full", g)
     for h in (direct, wrapped):
         h.update(InsertEdge(1, 2, 3))
         h.query(StDistance())
@@ -283,7 +283,7 @@ def test_stsp_via_bwm_counters_match_direct():
 
 def test_stsp_via_bwm_rejects_overweight_update():
     g = Graph(3, directed=True, weighted=True, max_weight=5, s=0, t=2)
-    h = stsp_via_bwm()(ProblemKind.ST_SP, "full", g)
+    h = StspViaBwm(ProblemKind.ST_SP, "full", g)
     with pytest.raises(DomainError):
         h.update(InsertEdge(0, 1, 6))
     with pytest.raises(DomainError):
@@ -294,7 +294,7 @@ def test_stsp_via_bwm_needs_weight_cap():
     g = Graph(3, directed=True, weighted=True, max_weight=5, s=0, t=2)
     g.max_weight = None
     with pytest.raises(DomainError):
-        stsp_via_bwm()(ProblemKind.ST_SP, "full", g)
+        StspViaBwm(ProblemKind.ST_SP, "full", g)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,8 @@ def test_stsp_via_bwm_needs_weight_cap():
 
 def test_subunion_wrapper_size_contract():
     ss = SetSystem(4, [[0, 1], [2, 3], [1, 2]])
-    h = subunion_via_connsub()(ProblemKind.SUB_UNION, "full", ss)
-    g = h.inner.state.graph
+    h = SubunionViaConnsub(ProblemKind.SUB_UNION, "full", ss)
+    g = h.inner.graph
     assert g.node_count == 4 + 3 + 1
     assert g.edge_count == 6 + 3
     assert g.active == set(range(4)) | {7}
@@ -312,7 +312,7 @@ def test_subunion_wrapper_size_contract():
 
 def test_subunion_wrapper_matches_direct():
     rng = random.Random(65)
-    factory = subunion_via_connsub()
+    factory = SubunionViaConnsub
     for _ in range(20):
         universe = rng.randint(1, 6)
         nsets = rng.randint(1, 6)
@@ -341,7 +341,7 @@ def test_subunion_wrapper_matches_direct():
 
 def test_subunion_wrapper_initial_scope():
     ss = SetSystem(2, [[0], [1]])
-    h = subunion_via_connsub()(ProblemKind.SUB_UNION, "full", ss, scope=[0, 1])
+    h = SubunionViaConnsub(ProblemKind.SUB_UNION, "full", ss, scope=[0, 1])
     assert h.query(UnionIsUniverse())
     h.update(RemoveFromScope(0))
     assert not h.query(UnionIsUniverse())
@@ -350,14 +350,14 @@ def test_subunion_wrapper_initial_scope():
 def test_subunion_empty_universe():
     ss = SetSystem(0, [[], []])
     direct = DirectEngine(ProblemKind.SUB_UNION, "full", ss)
-    wrapped = subunion_via_connsub()(ProblemKind.SUB_UNION, "full", ss)
+    wrapped = SubunionViaConnsub(ProblemKind.SUB_UNION, "full", ss)
     assert direct.query(UnionIsUniverse()) == wrapped.query(UnionIsUniverse()) == True
 
 
 @pytest.mark.parametrize("make,kind", [
-    (streach_via_sc, ProblemKind.ST_REACH),
-    (streach_via_bpm, ProblemKind.ST_REACH),
-    (subconn_via_streach, ProblemKind.ST_SUBCONN),
+    (StreachViaSc, ProblemKind.ST_REACH),
+    (StreachViaBpm, ProblemKind.ST_REACH),
+    (SubconnViaStreach, ProblemKind.ST_SUBCONN),
 ], ids=["streach-via-sc", "streach-via-bpm", "subconn-via-streach"])
 def test_unweighted_hosts_take_weighted_outer_instances(make, kind):
     """These kinds take weighted graphs; an insert's weight is checked by
@@ -366,8 +366,8 @@ def test_unweighted_hosts_take_weighted_outer_instances(make, kind):
     g = Graph(4, directed=directed, weighted=True, max_weight=5, s=0, t=2,
               active=None if directed else {1, 3})
     g.add_edge(0, 1, 1)
-    direct = direct_factory(kind, "full", g)
-    wrapped = make()(kind, "full", g)
+    direct = DirectEngine(kind, "full", g)
+    wrapped = make(kind, "full", g)
     query = StReachable() if directed else StConnected()
     for op in (InsertEdge(1, 2, 3), InsertEdge(1, 3, 6), InsertEdge(1, 3),
                InsertEdge(3, 2, 5), DeleteEdge(0, 1), InsertEdge(0, 1, 2)):
@@ -389,7 +389,7 @@ def test_unweighted_hosts_take_weighted_outer_instances(make, kind):
 
 def test_wrapper_rollback_restores_and_counts():
     g = build(4, [(0, 1), (1, 2), (2, 3)], s=0, t=3, active={1, 2})
-    h = subconn_via_streach()(ProblemKind.ST_SUBCONN, "dec", g)
+    h = SubconnViaStreach(ProblemKind.ST_SUBCONN, "dec", g)
     assert h.query(StConnected())
     cp = h.checkpoint()
     h.update(DeactivateNode(1))
@@ -405,7 +405,7 @@ def test_wrapper_rollback_restores_and_counts():
 
 def test_wrapper_composition():
     rng = random.Random(66)
-    stacked = subconn_via_streach(inner_factory=streach_via_bpm())
+    stacked = partial(SubconnViaStreach, inner_factory=StreachViaBpm)
     for _ in range(10):
         n = rng.randint(3, 6)
         g = random_subconn_instance(rng, n)
@@ -423,7 +423,7 @@ def test_wrapper_composition():
 
 def test_wrapper_chain_builds_one_direct_engine(monkeypatch):
     """Each wrapper keeps its outer instance in a bare engine state, so a
-    chain over direct_factory builds one DirectEngine, the innermost: the
+    chain over DirectEngine builds one DirectEngine, the innermost: the
     only handle that holds engine state on its own."""
     built = []
     init = DirectEngine.__init__
@@ -434,6 +434,5 @@ def test_wrapper_chain_builds_one_direct_engine(monkeypatch):
 
     monkeypatch.setattr(DirectEngine, "__init__", counting_init)
     g = build(4, [(0, 1), (1, 2), (2, 3)], s=0, t=3, active={1, 2})
-    h = subconn_via_streach(inner_factory=streach_via_bpm())(
-        ProblemKind.ST_SUBCONN, "full", g)
+    h = SubconnViaStreach(ProblemKind.ST_SUBCONN, "full", g, StreachViaBpm)
     assert built == [h.inner.inner]
