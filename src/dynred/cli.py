@@ -152,8 +152,12 @@ def _cmd_verify(args) -> int:
     if args.max_n < 1:
         print("dynred: --max-n must be positive", file=sys.stderr)
         return 64
-    summary = run_suite(args.suite, trials=args.trials, seed=args.seed,
-                        max_n=args.max_n)
+    try:
+        summary = run_suite(args.suite, trials=args.trials, seed=args.seed,
+                            max_n=args.max_n)
+    except GuardError as exc:  # an instance past a size cap: bad input
+        print(f"dynred: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(summary, indent=2))
     return 0 if summary["ok"] else 1
 

@@ -817,8 +817,12 @@ def check_query(kind: ProblemKind, q) -> None:
 # Reductions drive a handle: a DirectEngine, or a wrapper (wrappers.py) that
 # stands in for one. Both are EngineStates, so the surface is the class's:
 # .kind .mode .counters .update(op) .query(q) .checkpoint() .rollback(cp)
-# A factory is a callable factory(kind, mode, instance): DirectEngine, a
-# wrapper class, or a partial of a wrapper class that fixes its inner_factory.
+# A reduction builds the DirectEngine it drives. An engine factory, a callable
+# factory(kind, mode, instance) such as DirectEngine or a wrapper class, is
+# taken in four places only: sat_via_subunion (the connsub entry runs it over
+# SubunionViaConnsub), min_weight_triangle_via_stsp (mwt-bwm runs it over
+# StspViaBwm), triangle_via_streach_decremental (tests record its deletions
+# through a substitute handle) and _WrapperBase's inner_factory (wrappers stack).
 
 
 class DirectEngine(EngineState):

@@ -13,8 +13,6 @@ Decremental runs walk the stages in ascending order and delete each stage's
 anchors once queried; incremental runs walk them in reverse and insert.
 """
 
-from functools import partial
-
 from .engines import DirectEngine, Mode, ProblemKind, _as_mode
 from .model import (
     CostCounters,
@@ -99,16 +97,7 @@ def min_weight_triangle_via_stsp(
 
 
 def min_weight_triangle_via_bwm(
-    g: Graph,
-    *,
-    mode: str | Mode = "dec",
-    inner_factory=DirectEngine,
-    record_stages: list | None = None,
+    g: Graph, *, mode: str | Mode = "dec"
 ) -> tuple[int | None, CostCounters]:
     """Same stage schedule with the distance engine emulated by weighted matching."""
-    return min_weight_triangle_via_stsp(
-        g,
-        mode=mode,
-        factory=partial(StspViaBwm, inner_factory=inner_factory),
-        record_stages=record_stages,
-    )
+    return min_weight_triangle_via_stsp(g, mode=mode, factory=StspViaBwm)

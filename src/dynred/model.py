@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable
 
 # hashlib maps OpenSSL's libcrypto (about 3.7 MB resident); the builtin
 # module gives the same digests, so try it first, as random.py does
@@ -412,9 +412,6 @@ class Graph:
         # max_weight is declared capacity, not structure
         return isinstance(other, Graph) and self._state_tuple() == other._state_tuple()
 
-    def __hash__(self):
-        return hash(self._state_tuple())
-
     def digest(self) -> str:
         return sha256(repr(self._state_tuple()).encode()).hexdigest()
 
@@ -653,10 +650,6 @@ class CnfFormula:
                     raise DomainError(f"literal {lit} out of range for {var_count} variables")
         self.var_count = var_count
         self.clauses = [list(cl) for cl in clauses]
-
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
 
     def _state_tuple(self):
         return (self.var_count, tuple(tuple(cl) for cl in self.clauses))

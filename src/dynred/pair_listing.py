@@ -228,7 +228,7 @@ class SubconnProbe(_BlockProbe):
     B-neighbors inside the block, queries, and rolls the activations back.
     """
 
-    def __init__(self, inst: TripartiteInstance, factory=DirectEngine):
+    def __init__(self, inst: TripartiteInstance):
         super().__init__(inst)
         side, n_c = inst.side, inst.n_c
         s, t = 2 * side + n_c, 2 * side + n_c + 1
@@ -244,7 +244,7 @@ class SubconnProbe(_BlockProbe):
             h.add_edge(side + b, t)
         if h.edge_count != len(inst.e_ac) + len(inst.e_bc) + 2 * side:
             raise ConstructionError("edge budget violated")
-        self.eng = factory(ProblemKind.ST_SUBCONN, Mode.FULL, h)
+        self.eng = DirectEngine(ProblemKind.ST_SUBCONN, Mode.FULL, h)
         self._copies = Toggle(2 * side, lambda v: (ActivateNode(v),),
                               start_on=False, undo=False)
 
@@ -313,7 +313,7 @@ class DecrementalTraceAdapter(_BlockProbe):
     the block's B-neighbors on the t-side, queries, and rolls back.
     """
 
-    def __init__(self, inst: TripartiteInstance, streach_factory=DirectEngine):
+    def __init__(self, inst: TripartiteInstance):
         super().__init__(inst)
         side, n_c = inst.side, inst.n_c
         leaves = max(2, 1 << self.levels)
@@ -330,7 +330,7 @@ class DecrementalTraceAdapter(_BlockProbe):
             h.add_edge(a, 2 * side + c)
         for b, c in inst.e_bc:
             h.add_edge(2 * side + c, side + b)
-        self.eng = streach_factory(ProblemKind.ST_REACH, Mode.DECREMENTAL, h)
+        self.eng = DirectEngine(ProblemKind.ST_REACH, Mode.DECREMENTAL, h)
         # the deletion of the edge from each heap slot to its parent
         self._s_cuts, self._t_cuts = (
             Toggle(2 * leaves, make, start_on=True, undo=False) for make in (

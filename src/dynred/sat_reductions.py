@@ -203,7 +203,7 @@ def _toggle(mode: Mode, count: int, make) -> Toggle:
 
 
 def sat_via_ssr(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                factory=DirectEngine, check_isolation=False):
+                check_isolation=False):
     """Satisfiability via source reach counting.
 
     Clause nodes point at the assignments failing them; the source points at
@@ -222,7 +222,7 @@ def sat_via_ssr(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
 
     arcs = _toggle(mode, c_count, lambda j: (InsertEdge(src, a_count + j),))
     arcs.add_to_host(g)
-    handle = factory(ProblemKind.REACH_COUNT, mode, g)
+    handle = DirectEngine(ProblemKind.REACH_COUNT, mode, g)
 
     def stage(r):
         unsat = t.unsat_indices(r)
@@ -267,7 +267,7 @@ def _unsat_positions(t: FailTable, kept: dict[int, int], r: int) -> list[int]:
 
 
 def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
-             delta, mode, factory, check_isolation):
+             delta, mode, check_isolation):
     """Satisfiability via an SCC count gap, every assignment node cloned
     `clones` times.
 
@@ -289,7 +289,7 @@ def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
 
     toggle = _toggle(mode, 2 * k, arcs)
     toggle.add_to_host(g)
-    handle = factory(kind, mode, g)
+    handle = DirectEngine(kind, mode, g)
 
     def stage(r):
         unsat = _unsat_positions(t, kept, r)
@@ -301,7 +301,7 @@ def _scc_gap(formula: CnfFormula, clones: int, kind: ProblemKind, query, *,
 
 
 def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                factory=DirectEngine, check_isolation=False):
+                check_isolation=False):
     """Satisfiability via the two-or-more SCC gap.
 
     Permanent arcs: every assignment node points at a collector s, every
@@ -312,11 +312,11 @@ def sat_via_sc2(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     than two SCCs.
     """
     return _scc_gap(formula, 1, ProblemKind.SC2, MoreThanTwoSccs(), delta=delta,
-                    mode=mode, factory=factory, check_isolation=check_isolation)
+                    mode=mode, check_isolation=check_isolation)
 
 
 def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                    factory=DirectEngine, check_isolation=False):
+                    check_isolation=False):
     """Satisfiability via the largest SCC size.
 
     Same cycle structure as sat_via_sc2 but without the second collector.
@@ -330,7 +330,7 @@ def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     g, clause_base, s = _cycle_host(t, kept, 1, 1)
     cycles = _toggle(mode, len(kept), lambda pos: (InsertEdge(s, clause_base + pos),))
     cycles.add_to_host(g)
-    handle = factory(ProblemKind.MAX_SCC, mode, g)
+    handle = DirectEngine(ProblemKind.MAX_SCC, mode, g)
 
     def stage(r):
         unsat = _unsat_positions(t, kept, r)
@@ -341,7 +341,7 @@ def sat_via_max_scc(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
 
 
 def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
-                     mode="full", factory=DirectEngine, check_isolation=False):
+                     mode="full", check_isolation=False):
     """Satisfiability via a 2-versus-more-than-k SCC count gap.
 
     The sc2 construction with every assignment node cloned k times: an
@@ -352,8 +352,7 @@ def sat_via_appx_scc(formula: CnfFormula, *, k: int = 3, delta=Fraction(1, 2),
     if k < 2:
         raise DomainError("clone count k must be at least 2")
     return _scc_gap(formula, k, ProblemKind.SCC_2_VS_K, SccCount2VsK(k),
-                    delta=delta, mode=mode, factory=factory,
-                    check_isolation=check_isolation)
+                    delta=delta, mode=mode, check_isolation=check_isolation)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def _two_block_host(t: FailTable, mode: Mode, extra: int = 0, **graph_kw):
 
 
 def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
-                     factory=DirectEngine, check_isolation=False):
+                     check_isolation=False):
     """Satisfiability via all-pairs set reachability over two variable blocks.
 
     Left assignment nodes point at the clauses they fail, mirrored clause
@@ -401,13 +400,13 @@ def sat_via_st_reach(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
     g, bridges = _two_block_host(
         t, mode, directed=True, s_set=frozenset(range(a_count)),
         t_set=frozenset(range(right_a, right_a + a_count)))
-    handle = factory(ProblemKind.ST_SET_REACH, mode, g)
+    handle = DirectEngine(ProblemKind.ST_SET_REACH, mode, g)
     return _scan(handle, t, check_isolation, lambda r: (
         *bridges.keep_on(t.unsat_indices(r)), AllStReachable(), operator.not_))
 
 
 def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
-                 factory=DirectEngine, check_isolation=False):
+                 check_isolation=False):
     """Satisfiability via a diameter 3-versus-4 gap.
 
     Undirected double-block layout with collectors s (left), s2 (right) and
@@ -431,7 +430,7 @@ def sat_via_diam(formula: CnfFormula, *, delta=Fraction(1, 4), mode="full",
         g.add_edge(s2, right_a + phi)
     g.add_edge(hub, s)
     g.add_edge(hub, s2)
-    handle = factory(ProblemKind.DIAMETER, mode, g)
+    handle = DirectEngine(ProblemKind.DIAMETER, mode, g)
 
     # fast path: a block assignment failing no clause at all completes every
     # stage on its own, so the formula is satisfiable outright
@@ -472,8 +471,7 @@ def sat_via_subunion(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
         *scoped.keep_on(t.unsat_indices(r)), UnionIsUniverse(), operator.not_))
 
 
-def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
-                     factory=DirectEngine):
+def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full"):
     """Satisfiability via emptiness of iterated set intersections.
 
     One set per clause holding the assignments that satisfy it, plus the full
@@ -490,7 +488,7 @@ def sat_via_empty_pp(formula: CnfFormula, *, delta=Fraction(1, 2), mode="full",
     sat_sets = [set(range(a_count)) - f for f in t.fail[0]]
     universe_id = len(sat_sets)
     ss = SetSystem(a_count, sat_sets + [range(a_count)])
-    handle = factory(ProblemKind.EMPTY_PP, mode, ss)
+    handle = DirectEngine(ProblemKind.EMPTY_PP, mode, ss)
     answer = False
     for r in range(1 << t.stage_bits):
         unsat = t.unsat_indices(r)

@@ -114,7 +114,7 @@ def build_streach_gadget(g: Graph) -> Graph:
     return h
 
 
-def triangle_via_streach(g: Graph, *, mode="full", factory=DirectEngine):
+def triangle_via_streach(g: Graph, *, mode="full"):
     """Anchor search with two arc insertions and one reach query per vertex."""
     _require_undirected(g)
     mode = _as_mode(mode)
@@ -123,7 +123,7 @@ def triangle_via_streach(g: Graph, *, mode="full", factory=DirectEngine):
             "deletions-only runs go through triangle_via_streach_decremental")
     n = g.node_count
     h = build_streach_gadget(g)
-    handle = factory(ProblemKind.ST_REACH, mode, h)
+    handle = DirectEngine(ProblemKind.ST_REACH, mode, h)
     s, t = 4 * n, 4 * n + 1
     ends = Toggle(n, lambda x: (InsertEdge(s, x), InsertEdge(3 * n + x, t)),
                   start_on=False, undo=mode is Mode.FULL)
@@ -265,7 +265,7 @@ def build_subconn_gadget(g: Graph, *, start_active: bool) -> Graph:
     return h
 
 
-def triangle_via_subconn(g: Graph, *, mode="full", factory=DirectEngine):
+def triangle_via_subconn(g: Graph, *, mode="full"):
     """Anchor search by activating each vertex's neighborhood.
 
     With exactly the copies of N(x) active, s and t connect exactly when
@@ -277,7 +277,7 @@ def triangle_via_subconn(g: Graph, *, mode="full", factory=DirectEngine):
     mode = _as_mode(mode)
     n = g.node_count
     h = build_subconn_gadget(g, start_active=(mode is Mode.DECREMENTAL))
-    handle = factory(ProblemKind.ST_SUBCONN, mode, h)
+    handle = DirectEngine(ProblemKind.ST_SUBCONN, mode, h)
     op = DeactivateNode if mode is Mode.DECREMENTAL else ActivateNode
     copies = Toggle(n, lambda v: (op(v), op(n + v)), start_on=op is DeactivateNode,
                     undo=mode is Mode.FULL)
@@ -307,7 +307,7 @@ def build_5bpm_gadget(g: Graph, *, pair_edges: bool = True) -> Graph:
     return h
 
 
-def triangle_via_5bpm(g: Graph, *, mode="full", factory=DirectEngine):
+def triangle_via_5bpm(g: Graph, *, mode="full"):
     """Anchor search via matchings free of length-5 augmenting paths.
 
     Stage x removes the private pair edges of N(x)'s copies; any such
@@ -319,7 +319,7 @@ def triangle_via_5bpm(g: Graph, *, mode="full", factory=DirectEngine):
     mode = _as_mode(mode)
     n = g.node_count
     h = build_5bpm_gadget(g, pair_edges=(mode is not Mode.INCREMENTAL))
-    handle = factory(ProblemKind.KBPM, mode, h)
+    handle = DirectEngine(ProblemKind.KBPM, mode, h)
     op = InsertEdge if mode is Mode.INCREMENTAL else DeleteEdge
     pairs = Toggle(n, lambda v: (op(n + v, v), op(3 * n + v, 2 * n + v)),
                    start_on=op is DeleteEdge, undo=mode is Mode.FULL)
@@ -354,7 +354,7 @@ def build_17bpm_gadget(g: Graph, *, anchor_pairs: bool = True) -> Graph:
     return h
 
 
-def triangle_via_17bpm(g: Graph, *, mode="full", factory=DirectEngine):
+def triangle_via_17bpm(g: Graph, *, mode="full"):
     """Anchor search via matchings free of length-17 augmenting paths.
 
     Stage x removes only x's two outer pair edges; the matching size is at
@@ -366,7 +366,7 @@ def triangle_via_17bpm(g: Graph, *, mode="full", factory=DirectEngine):
     mode = _as_mode(mode)
     n = g.node_count
     h = build_17bpm_gadget(g, anchor_pairs=(mode is not Mode.INCREMENTAL))
-    handle = factory(ProblemKind.KBPM, mode, h)
+    handle = DirectEngine(ProblemKind.KBPM, mode, h)
 
     def interpret(size: int) -> bool:
         if size <= 4 * n - 2:
@@ -387,14 +387,14 @@ def triangle_via_17bpm(g: Graph, *, mode="full", factory=DirectEngine):
 # set-system routes
 
 
-def triangle_via_empty_pp(g: Graph, *, factory=DirectEngine):
+def triangle_via_empty_pp(g: Graph):
     """Edge scan over neighborhood sets: one intersection and one emptiness
     query per edge; N(u) and N(v) share a member exactly when {u, v} closes
     a triangle."""
     _require_undirected(g)
     n = g.node_count
     ss = SetSystem(n, [g.out_neighbors(u) for u in range(n)])
-    handle = factory(ProblemKind.EMPTY_PP, Mode.FULL, ss)
+    handle = DirectEngine(ProblemKind.EMPTY_PP, Mode.FULL, ss)
     for u, v in g.edges():
         i = handle.update(IntersectSets(u, v))
         if not handle.query(IsEmpty(i)):
@@ -421,7 +421,7 @@ def _fold_sets(handle, set_ids) -> list[int | None]:
     return folded
 
 
-def triangle_via_pp(g: Graph, *, factory=DirectEngine, seed: int = 0):
+def triangle_via_pp(g: Graph, *, seed: int = 0):
     """Two-phase membership detection over neighborhood sets.
 
     The degree threshold is the cube root of the edge count. High-degree
@@ -450,7 +450,7 @@ def triangle_via_pp(g: Graph, *, factory=DirectEngine, seed: int = 0):
     if high:
         index = {j: i for i, j in enumerate(high)}
         high_sets = [full ^ sum(1 << c for c in nbrs[j]) for j in high]  # non-neighbours
-        handle = factory(ProblemKind.PP, Mode.FULL, SetSystem.from_masks(n, high_sets))
+        handle = DirectEngine(ProblemKind.PP, Mode.FULL, SetSystem.from_masks(n, high_sets))
         folded = _fold_sets(handle, [[index[c] for c in nbrs[b] if deg[c] >= delta]
                                      for b in range(n)])
         hit = False
@@ -480,8 +480,8 @@ def triangle_via_pp(g: Graph, *, factory=DirectEngine, seed: int = 0):
         for a in range(n):
             for c in nbrs[a]:
                 covered[hashed(c)] |= 1 << a
-        handle = factory(ProblemKind.PP, Mode.FULL,
-                         SetSystem.from_masks(n, [full ^ h for h in covered]))
+        handle = DirectEngine(ProblemKind.PP, Mode.FULL,
+                              SetSystem.from_masks(n, [full ^ h for h in covered]))
         folded = _fold_sets(handle, [[hashed(c) for c in nbrs[b]] for b in range(n)])
         survivors = []
         for a, b in suspects:

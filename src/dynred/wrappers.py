@@ -4,7 +4,12 @@ Each wrapper presents one problem kind while internally running an engine for
 a different kind. Updates are translated with constant fan-out and the inner
 engine can itself be a wrapper, so wrappers compose. A wrapper class is its
 own engine factory, over a DirectEngine unless partial(cls, inner_factory=f)
-puts it over engines made by f, such as another wrapper class.
+puts it over engines made by f, such as another wrapper class. Reductions
+build their DirectEngine themselves. A factory is taken in four places only:
+sat_via_subunion and min_weight_triangle_via_stsp, which the connsub and
+mwt-bwm reductions run over a wrapper; triangle_via_streach_decremental,
+whose deletions tests record through a substitute handle; and inner_factory
+here, which stacks wrappers.
 
 A wrapper is an EngineState of the outer kind, loaded with the outer
 instance after the wrapper's own instance checks. An outer op is applied to

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dynred import limits
 from dynred.cli import REDUCTIONS, main
 from dynred.generators import random_graph
 from dynred.model import Graph
@@ -191,6 +192,16 @@ def test_verify_bad_suite_exits_64(capsys):
 def test_verify_negative_trials_exits_64(capsys):
     code = main(["verify", "--suite", "seth", "--trials", "-3"])
     assert code == 64
+
+
+def test_verify_guard_trip_exits_1_as_bad_input(capsys, monkeypatch):
+    # a verify instance past the dense-buffer cap is bad input, as in `run`
+    monkeypatch.setattr(limits, "MAX_DENSE_CELLS", 16)
+    code = main(["verify", "--suite", "engines", "--trials", "1", "--max-n", "12"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "exceeds the dense-buffer cap" in err
+    assert "internal error" not in err
 
 
 def test_non_utf8_input_exits_1_as_unreadable(capsys, tmp_path):
