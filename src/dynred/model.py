@@ -592,9 +592,8 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("negative counts in header", ln_no)
     if n > limits.max_state_nodes():  # before Graph(n) allocates per node
         raise GuardError(f"header declares {n} nodes, over the state cap")
-    g = Graph(n, directed=(toks[2] == "directed"), weighted=weighted,
-              max_weight=(1 if weighted else None))
-    g.max_weight = None  # set after all weights are read
+    # max_weight is set after all weights are read
+    g = Graph(n, directed=(toks[2] == "directed"), weighted=weighted)
     seen = 0
     max_w = 0
     for ln_no, ln in body[1:]:
@@ -656,9 +655,6 @@ class CnfFormula:
 
     def __eq__(self, other):
         return isinstance(other, CnfFormula) and self._state_tuple() == other._state_tuple()
-
-    def __hash__(self):
-        return hash(self._state_tuple())
 
     def digest(self) -> str:
         return sha256(repr(self._state_tuple()).encode()).hexdigest()
@@ -773,9 +769,6 @@ class SetSystem:
     def members(self, i: int) -> list[int]:
         """The members of set i, ascending."""
         return _select(self.mask(i), range(self.universe_size))
-
-    def get(self, i: int) -> frozenset[int]:
-        return frozenset(self.members(i))
 
     def __len__(self):
         return len(self.masks)

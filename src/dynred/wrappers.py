@@ -12,10 +12,12 @@ whose deletions tests record through a substitute handle; and inner_factory
 here, which stacks wrappers.
 
 A wrapper is an EngineState of the outer kind, loaded with the outer
-instance after the wrapper's own instance checks. An outer op is applied to
-that state first, so it is checked, counted and undone as a direct engine
-of the outer kind would do it, and only an accepted op is translated and
-forwarded. Every answer comes from the inner engine.
+instance, so it accepts or rejects an instance, with the same error, as a
+direct engine of that kind does. The one rule a wrapper adds is
+StspViaBwm's: the instance must declare its max_weight. An outer op is
+applied to that state first, so it is checked, counted and undone as a
+direct engine of the outer kind would do it, and only an accepted op is
+translated and forwarded. Every answer comes from the inner engine.
 
 A wrapper's counters are its own state's, plus one query per answered
 query: the traffic it received. The cost spent inside is on
@@ -39,7 +41,6 @@ from .engines import (
     EngineState,
     ProblemKind,
     _as_kind,
-    _as_mode,
     check_query,
     live_index,
 )
@@ -51,23 +52,19 @@ from .model import (
     DeleteEdge,
     DomainError,
     Graph,
-    HasPerfectMatching,
-    InducedConnected,
     InsertEdge,
-    MaxWeightPmWeight,
     RemoveFromScope,
     SetSystem,
-    StReachable,
-    StronglyConnected,
 )
 
 
 class _WrapperBase(EngineState):
-    """An engine of the outer kind that answers through an inner engine. A
-    subclass sets its name, the kind it serves, the kind and query of its
-    inner engine and inner_nodes(instance), the node count of the inner
-    instance. Its _check(instance) raises DomainError on an instance it
-    cannot carry, and its _host(instance) builds the inner instance. The
+    """An engine of the outer kind that answers through an inner engine.
+    KINDS says which instances it takes, as for a direct engine of that
+    kind; the host is built only once that state has accepted the instance.
+    A subclass sets its name, the kind it serves, the kind of its inner
+    engine and inner_nodes(instance), the node count of the inner instance,
+    and its _host(instance) builds the inner instance of that size. The
     class is an engine factory; inner_factory defaults to DirectEngine."""
 
     outer_kind: ProblemKind = None  # set by subclasses
@@ -78,17 +75,9 @@ class _WrapperBase(EngineState):
         if kind is not self.outer_kind:
             raise DomainError(
                 f"{type(self).__name__} serves {self.outer_kind.value}, got {kind.value}")
-        mode = _as_mode(mode)
-        if scope is not None and "scope" not in KINDS[kind].families:
-            raise DomainError("scope applies only to set-system kinds")
-        if KINDS[kind].instance is Graph and not isinstance(instance, Graph):
-            raise DomainError(f"{kind.value} expects a Graph instance")
-        self._check(instance)
         super().__init__(kind, mode, instance, scope=scope)
-        h = self._host(instance)
-        if h.node_count != self.inner_nodes(instance):
-            raise ConstructionError("node budget violated")
-        self.inner = inner_factory(self.inner_kind, mode, h)
+        self.inner_query = KINDS[self.inner_kind].query()
+        self.inner = inner_factory(self.inner_kind, self.mode, self._host(instance))
 
     def update(self, op):
         super().update(op)
@@ -140,20 +129,14 @@ class SubconnViaStreach(_WrapperBase):
     name = "subconn-via-streach"
     outer_kind = ProblemKind.ST_SUBCONN
     inner_kind = ProblemKind.ST_REACH
-    inner_query = StReachable()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count)
-
-    def _check(self, instance: Graph) -> None:
-        if instance.directed or instance.s is None or instance.t is None:
-            raise DomainError("needs an undirected graph with s and t")
-        if instance.active is None:
-            raise DomainError("needs an active node set")
 
     def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         self._n = n
         always_on = set(instance.active) | {instance.s, instance.t}
-        h = Graph(2 * n, directed=True, s=n + instance.s, t=instance.t)
+        h = Graph(self.inner_nodes(instance), directed=True, s=n + instance.s,
+                  t=instance.t)
         for u, v in instance.edges():
             h.add_edge(n + u, v)
             h.add_edge(n + v, u)
@@ -181,11 +164,6 @@ class SubconnViaStreach(_WrapperBase):
 # directed reachability via perfect matching
 
 
-def _check_st_digraph(self, instance: Graph) -> None:
-    if not instance.directed or instance.s is None or instance.t is None:
-        raise DomainError("needs a directed graph with s and t")
-
-
 def _split_ids(n: int, s: int, t: int):
     """Id maps for the split graph on 2n - 2 nodes: out-copies of V minus t
     in [0, n-1), in-copies of V minus s in [n-1, 2n-2)."""
@@ -210,16 +188,14 @@ class StreachViaBpm(_WrapperBase):
     name = "streach-via-bpm"
     outer_kind = ProblemKind.ST_REACH
     inner_kind = ProblemKind.BPMATCH
-    inner_query = HasPerfectMatching()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
-    _check = _check_st_digraph
 
     def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         s, t = instance.s, instance.t
         self._s, self._t = s, t
         self._out_id, self._in_id = _split_ids(n, s, t)
-        h = Graph(2 * n - 2)
+        h = Graph(self.inner_nodes(instance))
         pair_edges = 0
         for v in range(n):
             if v != s and v != t:
@@ -260,16 +236,11 @@ class StspViaBwm(_WrapperBase):
     name = "stsp-via-bwm"
     outer_kind = ProblemKind.ST_SP
     inner_kind = ProblemKind.BWMATCH
-    inner_query = MaxWeightPmWeight()
     inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
-    def _check(self, instance: Graph) -> None:
-        if not instance.weighted or instance.s is None or instance.t is None:
-            raise DomainError("needs a weighted graph with s and t")
-        if instance.max_weight is None:
-            raise DomainError("needs a declared max_weight")
-
     def _host(self, instance: Graph) -> Graph:
+        if instance.max_weight is None:  # pair edges weigh max_weight + 1
+            raise DomainError("needs a declared max_weight")
         self._directed = instance.directed
         n = instance.node_count
         s, t = instance.s, instance.t
@@ -277,7 +248,7 @@ class StspViaBwm(_WrapperBase):
         self._base = instance.max_weight + 1
         self._out_id, self._in_id = _split_ids(n, s, t)
         self._offset = (n - 1) * self._base
-        h = Graph(2 * n - 2, weighted=True, max_weight=self._base)
+        h = Graph(self.inner_nodes(instance), weighted=True, max_weight=self._base)
         for v in range(n):
             if v != s and v != t:
                 h.add_edge(self._out_id(v), self._in_id(v), self._base)
@@ -319,15 +290,13 @@ class StreachViaSc(_WrapperBase):
     name = "streach-via-sc"
     outer_kind = ProblemKind.ST_REACH
     inner_kind = ProblemKind.SC
-    inner_query = StronglyConnected()
     inner_nodes = staticmethod(lambda g: g.node_count)
-    _check = _check_st_digraph
 
     def _host(self, instance: Graph) -> Graph:
         n = instance.node_count
         s, t = instance.s, instance.t
         self._s, self._t = s, t
-        h = Graph(n, directed=True)
+        h = Graph(self.inner_nodes(instance), directed=True)
         permanent = 0
         for v in range(n):
             if v not in (s, t):
@@ -369,18 +338,13 @@ class SubunionViaConnsub(_WrapperBase):
     name = "subunion-via-connsub"
     outer_kind = ProblemKind.SUB_UNION
     inner_kind = ProblemKind.CONN_SUB
-    inner_query = InducedConnected()
     inner_nodes = staticmethod(lambda ss: ss.universe_size + len(ss) + 1)
-
-    def _check(self, instance: SetSystem) -> None:
-        if not isinstance(instance, SetSystem):
-            raise DomainError("needs a SetSystem instance")
 
     def _host(self, instance: SetSystem) -> Graph:
         n_u = instance.universe_size
         k = len(instance)
         hub = n_u + k
-        g = Graph(n_u + k + 1, active=set(range(n_u)) | {hub}
+        g = Graph(self.inner_nodes(instance), active=set(range(n_u)) | {hub}
                   | {n_u + i for i in self.scope})
         edges = 0
         for i in range(k):

@@ -677,7 +677,8 @@ def test_sub_union_cover_matches_recompute():
                 i = rng.choice(free)
                 st.update(AddToScope(i))
                 scoped.add(i)
-            union = set().union(*(ss.get(i) for i in scoped)) if scoped else set()
+            union = (set().union(*(frozenset(ss.members(i)) for i in scoped))
+                     if scoped else set())
             assert st.query(UnionIsUniverse()) == (union == set(range(universe)))
 
 

@@ -5,7 +5,9 @@ metadata moved into one table:
   - "construct": `EngineState` for every kind on about twenty instance
     shapes (orientation, weights, s/t, s = t, s_set/t_set, active set,
     non-bipartite, wrong instance type), with and without a scope;
-  - "wrap": the same shapes through each of the five wrappers;
+  - "wrap": the same shapes through each of the five wrappers, each of
+    which accepts or rejects a shape, with the same message, as the
+    "construct" outcome of its outer kind does;
   - "query": for one valid instance per kind, the answer or error of every
     query type, bad parameters included, with the query count after it.
 Each outcome is "ok <detail>" or "<exception>: <message>".
@@ -67,9 +69,9 @@ _WRAPPERS = {
 _CYCLE = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
-def _graph(directed=False, weighted=False, odd=False, **kw):
+def _graph(directed=False, weighted=False, odd=False, max_weight=5, **kw):
     g = Graph(4, directed=directed, weighted=weighted,
-              max_weight=5 if weighted else None, **kw)
+              max_weight=max_weight if weighted else None, **kw)
     for i, (u, v) in enumerate(_CYCLE + (((0, 2),) if odd else ())):
         g.add_edge(u, v, 1 + i % 5 if weighted else None)
     return g
@@ -221,23 +223,28 @@ def test_kind_outcomes_match_recorded_table():
         assert set(now[section]) == set(recorded[section])
 
 
-def _error_type(outcome: str) -> str | None:
-    return None if outcome.startswith("ok ") else outcome.split(":")[0]
+def _verdict(outcome: str) -> str:
+    """"ok", or the exception and its message."""
+    return "ok" if outcome.startswith("ok ") else outcome
 
 
 def test_wrappers_construct_exactly_when_their_outer_kind_does():
-    """A wrapper builds where EngineState of its outer kind builds, and
-    raises the same exception type where it raises."""
-    recorded = json.loads(OUTCOMES.read_text())
-    shapes = _shapes()
+    """On every shape and scope a wrapper builds where EngineState of its
+    outer kind builds, and raises the same exception with the same message
+    where it raises. The one rule a wrapper adds is StspViaBwm's declared
+    max_weight, which st-sp does not need."""
+    shapes = {**_shapes(), "dir-w-st-no-max": _graph(
+        True, True, max_weight=None, s=0, t=2)}
     mismatched = []
-    for key in recorded["wrap"]:
-        name, label, sname = key.split()
-        kind, shape, scope = _WRAPPED_KIND[name], shapes[label], _SCOPES[sname]
-        wrapped = _error_type(_wrap(name, kind, shape, scope))
-        direct = _error_type(_construct(kind, shape, scope))
-        if wrapped != direct:
-            mismatched.append((key, wrapped, direct))
+    for name, kind in _WRAPPED_KIND.items():
+        for label, shape in shapes.items():
+            for sname, scope in _SCOPES.items():
+                want = _verdict(_construct(kind, shape, scope))
+                if want == "ok" and (name, label) == ("stsp-via-bwm", "dir-w-st-no-max"):
+                    want = "DomainError: needs a declared max_weight"
+                got = _verdict(_wrap(name, kind, shape, scope))
+                if got != want:
+                    mismatched.append((name, label, sname, got, want))
     assert not mismatched, f"{len(mismatched)} rows differ: {mismatched[:3]}"
 
 

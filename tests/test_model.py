@@ -201,17 +201,23 @@ def test_cnf_text_round_trip(case):
     assert parse_cnf(f.to_text()) == f
 
 
+def test_formula_has_no_hash():
+    """A formula is mutable and compares by value, so hashing it raises."""
+    with pytest.raises(TypeError):
+        hash(CnfFormula(2, [[1, 2]]))
+
+
 def test_set_system():
     ss = SetSystem(5, [[0, 1], [2]])
     i = ss.append_set([3, 4])
     assert i == 2
-    assert ss.get(2) == frozenset({3, 4})
+    assert frozenset(ss.members(2)) == frozenset({3, 4})
     ss.pop_set()
     assert len(ss) == 2
     with pytest.raises(DomainError):
         ss.append_set([9])
     with pytest.raises(StateError):
-        ss.get(7)
+        frozenset(ss.members(7))
 
 
 def test_report_key_order():

@@ -137,12 +137,12 @@ def _outcome(fn, *args):
 def _assert_same(handle, model):
     sets = handle.sets
     assert len(sets) == len(model.sets)
-    assert [sets.get(i) for i in range(len(sets))] == model.sets
+    assert [frozenset(sets.members(i)) for i in range(len(sets))] == model.sets
     assert sets.digest() == model.digest()
     assert handle.scope == model.scope
     for i in (-1, len(sets)):
         with pytest.raises(StateError, match=f"set id {i} out of range"):
-            sets.get(i)
+            frozenset(sets.members(i))
 
 
 @pytest.mark.parametrize("kind", [ProblemKind.PP, ProblemKind.EMPTY_PP,
@@ -192,7 +192,7 @@ def test_set_system_matches_frozensets(universe):
     lists = [_members(rng, universe) for _ in range(5)]
     ss = SetSystem(universe, lists)
     model = FrozenModel(universe, lists, None)
-    assert [ss.get(i) for i in range(len(ss))] == model.sets
+    assert [frozenset(ss.members(i)) for i in range(len(ss))] == model.sets
     assert [ss.members(i) for i in range(len(ss))] == [sorted(s) for s in model.sets]
     assert ss.masks == [sum(1 << x for x in s) for s in model.sets]
     assert ss.digest() == model.digest()

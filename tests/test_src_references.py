@@ -7,6 +7,11 @@ top-level class must be referenced as an attribute, outside its own
 definition. Mentions in docstrings or comments do not count. A name that
 only tests or the benchmark use belongs on ALLOWED, with the reason it
 stays; a method is listed as "Class.method".
+
+A method named like a public attribute of a builtin type (get, copy,
+update) cannot be told from the builtin's by its reads, which dict.get and
+set.update make everywhere. It counts as referenced only when BUILTIN_NAMED
+names a src/ function that calls it on an instance of its class.
 """
 
 import ast
@@ -37,6 +42,17 @@ ALLOWED = {
     ("model", "CnfFormula.to_text"),
     # argparse calls it on a usage error
     ("cli", "_Parser.error"),
+}
+
+BUILTIN_ATTRS = {name for t in (dict, list, set, frozenset, str, tuple, bytes, int)
+                 for name in dir(t) if not name.startswith("_")}
+
+# (module, "Class.method") -> (module, function) that calls it
+BUILTIN_NAMED = {
+    ("engines", "EngineState.update"): ("engines", "run_stage"),
+    ("wrappers", "_WrapperBase.update"): ("verify", "wrapper_trace"),
+    ("model", "Graph.copy"): ("engines", "EngineState.__init__"),
+    ("model", "SetSystem.copy"): ("engines", "EngineState.__init__"),
 }
 
 
@@ -81,6 +97,31 @@ def _references(modules) -> dict[str, list[ast.AST]]:
     return out
 
 
+def _function(tree: ast.Module, qualname: str) -> ast.AST | None:
+    """The top-level function or "Class.method" of that name."""
+    node = tree
+    for part in qualname.split("."):
+        node = next((n for n in node.body if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and n.name == part), None)
+        if node is None:
+            return None
+    return node
+
+
+def _calls(node: ast.AST, attr: str) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == attr for n in ast.walk(node))
+
+
+def _named_reader_calls(modules, key: tuple[str, str]) -> bool:
+    if key not in BUILTIN_NAMED:
+        return False
+    mod, qualname = BUILTIN_NAMED[key]
+    reader = _function(modules[mod], qualname)
+    return reader is not None and _calls(reader, key[1].split(".")[-1])
+
+
 def _only_inside(node: ast.AST, uses) -> bool:
     own = {id(n) for n in ast.walk(node)}
     return all(id(r) in own for r in uses)
@@ -94,9 +135,16 @@ def _unreferenced(modules) -> set[tuple[str, str]]:
             if not name.startswith("_") and _only_inside(node, refs.get(name, ())):
                 found.add((mod, name))
         for cls, node in _methods(tree):
-            uses = [r for r in refs.get(node.name, ()) if isinstance(r, ast.Attribute)]
-            if not node.name.startswith("_") and _only_inside(node, uses):
-                found.add((mod, f"{cls}.{node.name}"))
+            if node.name.startswith("_"):
+                continue
+            key = (mod, f"{cls}.{node.name}")
+            if node.name in BUILTIN_ATTRS:
+                referenced = _named_reader_calls(modules, key)
+            else:
+                uses = [r for r in refs.get(node.name, ()) if isinstance(r, ast.Attribute)]
+                referenced = not _only_inside(node, uses)
+            if not referenced:
+                found.add(key)
     return found
 
 
@@ -109,3 +157,12 @@ def test_allow_list_is_current():
     """An allowed name that src/ now uses, or that is gone, leaves the list."""
     unreferenced = _unreferenced(_modules())
     assert ALLOWED <= unreferenced, sorted(ALLOWED - unreferenced)
+
+
+def test_builtin_named_table_is_current():
+    """Each entry names a method of src/ that shares a builtin attribute
+    name."""
+    methods = {(mod, f"{cls}.{node.name}")
+               for mod, tree in _modules().items() for cls, node in _methods(tree)
+               if node.name in BUILTIN_ATTRS}
+    assert set(BUILTIN_NAMED) == methods, sorted(set(BUILTIN_NAMED) ^ methods)
