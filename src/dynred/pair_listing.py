@@ -242,8 +242,6 @@ class SubconnProbe(_BlockProbe):
             h.add_edge(s, a)
         for b in range(side):
             h.add_edge(side + b, t)
-        if h.edge_count != len(inst.e_ac) + len(inst.e_bc) + 2 * side:
-            raise ConstructionError("edge budget violated")
         self.eng = DirectEngine(ProblemKind.ST_SUBCONN, Mode.FULL, h)
         self._copies = Toggle(2 * side, lambda v: (ActivateNode(v),),
                               start_on=False, undo=False)

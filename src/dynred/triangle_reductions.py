@@ -505,7 +505,8 @@ def split_by_degree(g: Graph, threshold: int, dense_routine) -> TriangleWitness 
     scanning that vertex's neighbor pairs; the remainder can only live in
     the subgraph induced by the high-degree vertices, which is relabeled and
     passed to dense_routine (a callable returning an anchor id in the
-    subgraph or None). Returned witnesses are verified against g.
+    subgraph or None). Its anchor is verified against g; a wedge witness
+    is a triangle of g by construction.
     """
     _require_undirected(g)
     if threshold < 0:
@@ -518,10 +519,7 @@ def split_by_degree(g: Graph, threshold: int, dense_routine) -> TriangleWitness 
         for i, a in enumerate(nb):
             for b in nb[i + 1:]:
                 if g.has_edge(a, b):
-                    witness = TriangleWitness(u=x, v=a, w=b)
-                    if not witness.verify(g):
-                        raise ConstructionError("wedge scan produced a bad triple")
-                    return witness
+                    return TriangleWitness(u=x, v=a, w=b)
     high = [v for v in range(n) if g.degree(v) > threshold]
     if len(high) < 3:
         return None

@@ -209,16 +209,15 @@ def apsp_trial(rng: random.Random, max_n: int):
 
     # Stage decomposition: stage i isolates triangles through vertex i-1.
     m_bound = g.max_weight
+    lightest: dict[int, int] = {}  # vertex -> its lightest triangle's weight
+    for t in oracle_all_triangles(g):
+        w = g.weight(t[0], t[1]) + g.weight(t[1], t[2]) + g.weight(t[0], t[2])
+        for v in t[:3]:
+            lightest[v] = min(w, lightest.get(v, w))
     stage_ok = True
     detail = ""
     for i, z in stages:
-        u = i - 1
-        best = None
-        for t in oracle_all_triangles(g):
-            if u in t[:3]:
-                w = (g.weight(t[0], t[1]) + g.weight(t[1], t[2])
-                     + g.weight(t[0], t[2]))
-                best = w if best is None else min(best, w)
+        best = lightest.get(i - 1)
         if best is None:
             if z is not None and z <= 3 * m_bound:
                 stage_ok, detail = False, f"stage {i}: z={z} but no triangle"

@@ -19,6 +19,12 @@ applied to that state first, so it is checked, counted and undone as a
 direct engine of the outer kind would do it, and only an accepted op is
 translated and forwarded. Every answer comes from the inner engine.
 
+A subclass defines _host(instance), the inner instance, _translate(op),
+the inner ops for an accepted outer op, and optionally _interpret(answer).
+The query contract is EngineState's: EngineState.query checks the type,
+asks the inner engine and counts the answer. StreachViaBpm and StspViaBwm
+share one split graph and state only its weights.
+
 A wrapper's counters are its own state's, plus one query per answered
 query: the traffic it received. The cost spent inside is on
 `handle.inner.counters`. A wrapper's checkpoint is one of its own state
@@ -41,13 +47,11 @@ from .engines import (
     EngineState,
     ProblemKind,
     _as_kind,
-    check_query,
     live_index,
 )
 from .model import (
     ActivateNode,
     AddToScope,
-    ConstructionError,
     DeactivateNode,
     DeleteEdge,
     DomainError,
@@ -64,8 +68,11 @@ class _WrapperBase(EngineState):
     kind; the host is built only once that state has accepted the instance.
     A subclass sets its name, the kind it serves, the kind of its inner
     engine and inner_nodes(instance), the node count of the inner instance,
-    and its _host(instance) builds the inner instance of that size. The
-    class is an engine factory; inner_factory defaults to DirectEngine."""
+    and defines _host(instance), which builds the inner instance of that
+    size, _translate(op) and optionally _interpret(answer). Queries keep
+    EngineState.query's contract, with an answer function that asks the
+    inner engine. The class is an engine factory; inner_factory defaults to
+    DirectEngine."""
 
     outer_kind: ProblemKind = None  # set by subclasses
     inner_kind: ProblemKind = None
@@ -76,19 +83,14 @@ class _WrapperBase(EngineState):
             raise DomainError(
                 f"{type(self).__name__} serves {self.outer_kind.value}, got {kind.value}")
         super().__init__(kind, mode, instance, scope=scope)
-        self.inner_query = KINDS[self.inner_kind].query()
+        inner_query = KINDS[self.inner_kind].query()
         self.inner = inner_factory(self.inner_kind, self.mode, self._host(instance))
+        self._answer_fn = lambda h, q: h._interpret(h.inner.query(inner_query))
 
     def update(self, op):
         super().update(op)
         for inner_op in self._translate(op):
             self.inner.update(inner_op)
-
-    def query(self, q):
-        check_query(self.kind, q)
-        answer = self._interpret(self.inner.query(self.inner_query))
-        self.counters.queries += 1
-        return answer
 
     def checkpoint(self) -> Checkpoint:
         cp = super().checkpoint()
@@ -142,8 +144,6 @@ class SubconnViaStreach(_WrapperBase):
             h.add_edge(n + v, u)
         for v in sorted(always_on):
             h.add_edge(v, n + v)
-        if h.edge_count != 2 * instance.edge_count + len(always_on):
-            raise ConstructionError("edge budget violated")
         self._st = {instance.s, instance.t}
         return h
 
@@ -161,74 +161,77 @@ class SubconnViaStreach(_WrapperBase):
 
 
 # ---------------------------------------------------------------------------
-# directed reachability via perfect matching
+# reachability and shortest path via matching on the split graph
 
 
-def _split_ids(n: int, s: int, t: int):
-    """Id maps for the split graph on 2n - 2 nodes: out-copies of V minus t
-    in [0, n-1), in-copies of V minus s in [n-1, 2n-2)."""
-    def out_id(v: int) -> int:
-        return v - (v > t)
+class _SplitGraphWrapper(_WrapperBase):
+    """A matching engine over the split graph of an s-t graph G on n nodes.
 
-    def in_id(v: int) -> int:
-        return (n - 1) + v - (v > s)
+    The host has 2n - 2 nodes: out-copies of V minus t in [0, n-1), then
+    in-copies of V minus s in [n-1, 2n-2). Every node other than s and t
+    carries a pair edge {v_out, v_in}; an arc (u, v) of G becomes the edge
+    {u_out, v_in}, and an undirected edge both of its arcs. Arcs into s or
+    out of t lie on no simple s-to-t path and are suppressed (fan-out 0).
+    """
 
-    return out_id, in_id
+    inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
+
+    def _weights(self, instance: Graph):
+        """(pair-edge weight, map from an arc's weight to its edge's); on
+        an unweighted host the weight is None and the map gives None."""
+        raise NotImplementedError
+
+    def _host(self, instance: Graph) -> Graph:
+        pair, self._arc_weight = self._weights(instance)
+        n, s, t = instance.node_count, instance.s, instance.t
+        self._n, self._s, self._t = n, s, t
+        self._directed = instance.directed
+        h = Graph(self.inner_nodes(instance), weighted=pair is not None, max_weight=pair)
+        for v in range(n):
+            if v != s and v != t:
+                h.add_edge(*self._edge(v, v), pair)
+        for u, v, w in instance.weighted_edges():
+            for a, b in self._arcs(u, v):
+                h.add_edge(*self._edge(a, b), self._arc_weight(w))
+        return h
+
+    def _edge(self, a: int, b: int) -> tuple[int, int]:
+        """The host edge {a_out, b_in}; (v, v) gives v's pair edge."""
+        return a - (a > self._t), self._n - 1 + b - (b > self._s)
+
+    def _arcs(self, u: int, v: int) -> list[tuple[int, int]]:
+        """The arcs a stored edge carries, less those suppressed."""
+        arcs = [(u, v)] if self._directed else [(u, v), (v, u)]
+        return [(a, b) for a, b in arcs if a != self._t and b != self._s]
+
+    def _translate(self, op):
+        if isinstance(op, InsertEdge):
+            w = self._arc_weight(op.w)
+            return [InsertEdge(*self._edge(a, b), w) for a, b in self._arcs(op.u, op.v)]
+        return [DeleteEdge(*self._edge(a, b)) for a, b in self._arcs(op.u, op.v)]
 
 
-class StreachViaBpm(_WrapperBase):
-    """s-t reachability as perfect-matching existence on a split graph.
+class StreachViaBpm(_SplitGraphWrapper):
+    """s-t reachability as perfect-matching existence on the split graph.
 
-    Arcs (u, v) become edges {u_out, v_in}; each ordinary node carries a
-    permanent pair edge {v_in, v_out}. A perfect matching traces an s-to-t
-    path through forced chains, so it exists iff t is reachable. Arcs into s
-    or out of t cannot lie on such a path and are suppressed (fan-out 0).
+    A perfect matching traces an s-to-t path through forced chains of pair
+    edges, so it exists iff t is reachable. The host is unweighted.
     """
 
     name = "streach-via-bpm"
     outer_kind = ProblemKind.ST_REACH
     inner_kind = ProblemKind.BPMATCH
-    inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
-    def _host(self, instance: Graph) -> Graph:
-        n = instance.node_count
-        s, t = instance.s, instance.t
-        self._s, self._t = s, t
-        self._out_id, self._in_id = _split_ids(n, s, t)
-        h = Graph(self.inner_nodes(instance))
-        pair_edges = 0
-        for v in range(n):
-            if v != s and v != t:
-                h.add_edge(self._out_id(v), self._in_id(v))
-                pair_edges += 1
-        mapped = 0
-        for u, v in instance.edges():
-            if u == t or v == s:
-                continue
-            h.add_edge(self._out_id(u), self._in_id(v))
-            mapped += 1
-        if h.edge_count != pair_edges + mapped:
-            raise ConstructionError("edge budget violated")
-        return h
-
-    def _translate(self, op):
-        if op.u == self._t or op.v == self._s:
-            return []
-        if isinstance(op, InsertEdge):
-            return [InsertEdge(self._out_id(op.u), self._in_id(op.v))]
-        return [DeleteEdge(self._out_id(op.u), self._in_id(op.v))]
+    def _weights(self, instance):
+        return None, lambda w: None
 
 
-# ---------------------------------------------------------------------------
-# shortest path via max-weight perfect matching
-
-
-class StspViaBwm(_WrapperBase):
+class StspViaBwm(_SplitGraphWrapper):
     """s-t shortest path distance through a max-weight perfect matching.
 
-    Split graph as in StreachViaBpm; pair edges weigh B = max_weight + 1 and
-    an arc of weight w maps to B - w (always >= 1). The best matching swaps
-    pair edges for one forced s-to-t chain and never keeps a cycle, giving
+    On the split graph, pair edges weigh B = max_weight + 1 and an arc of
+    weight w maps to B - w (always >= 1). The best matching swaps pair
+    edges for one forced s-to-t chain and never keeps a cycle, giving
     weight offset - dist with offset = (n-1)B: all n-1 matched edges weigh
     B, less the weights of the chain's arcs.
     """
@@ -236,38 +239,13 @@ class StspViaBwm(_WrapperBase):
     name = "stsp-via-bwm"
     outer_kind = ProblemKind.ST_SP
     inner_kind = ProblemKind.BWMATCH
-    inner_nodes = staticmethod(lambda g: 2 * g.node_count - 2)
 
-    def _host(self, instance: Graph) -> Graph:
+    def _weights(self, instance):
         if instance.max_weight is None:  # pair edges weigh max_weight + 1
             raise DomainError("needs a declared max_weight")
-        self._directed = instance.directed
-        n = instance.node_count
-        s, t = instance.s, instance.t
-        self._s, self._t = s, t
-        self._base = instance.max_weight + 1
-        self._out_id, self._in_id = _split_ids(n, s, t)
-        self._offset = (n - 1) * self._base
-        h = Graph(self.inner_nodes(instance), weighted=True, max_weight=self._base)
-        for v in range(n):
-            if v != s and v != t:
-                h.add_edge(self._out_id(v), self._in_id(v), self._base)
-        for u, v, w in instance.weighted_edges():
-            for a, b in self._arc_pairs(u, v):
-                h.add_edge(self._out_id(a), self._in_id(b), self._base - w)
-        return h
-
-    def _arc_pairs(self, u, v):
-        """Arcs carried by one stored edge, with degenerate endpoints dropped."""
-        arcs = [(u, v)] if self._directed else [(u, v), (v, u)]
-        return [(a, b) for a, b in arcs if a != self._t and b != self._s]
-
-    def _translate(self, op):
-        arcs = self._arc_pairs(op.u, op.v)
-        if isinstance(op, InsertEdge):
-            return [InsertEdge(self._out_id(a), self._in_id(b), self._base - op.w)
-                    for a, b in arcs]
-        return [DeleteEdge(self._out_id(a), self._in_id(b)) for a, b in arcs]
+        base = instance.max_weight + 1
+        self._offset = (instance.node_count - 1) * base
+        return base, lambda w: base - w
 
     def _interpret(self, w):
         return None if w is None else self._offset - w
@@ -297,23 +275,16 @@ class StreachViaSc(_WrapperBase):
         s, t = instance.s, instance.t
         self._s, self._t = s, t
         h = Graph(self.inner_nodes(instance), directed=True)
-        permanent = 0
         for v in range(n):
             if v not in (s, t):
                 h.add_edge(v, s)
                 h.add_edge(t, v)
-                permanent += 2
         if n == 2:
             h.add_edge(t, s)
-            permanent += 1
-        mapped = 0
         for u, v in instance.edges():
             if v == s or u == t:
                 continue
             h.add_edge(u, v)
-            mapped += 1
-        if h.edge_count != permanent + mapped:
-            raise ConstructionError("edge budget violated")
         return h
 
     def _translate(self, op):
@@ -346,15 +317,10 @@ class SubunionViaConnsub(_WrapperBase):
         hub = n_u + k
         g = Graph(self.inner_nodes(instance), active=set(range(n_u)) | {hub}
                   | {n_u + i for i in self.scope})
-        edges = 0
         for i in range(k):
             for u in instance.members(i):
                 g.add_edge(n_u + i, u)
-                edges += 1
             g.add_edge(hub, n_u + i)
-            edges += 1
-        if g.edge_count != edges:
-            raise ConstructionError("edge budget violated")
         self._toggles = {  # inner ops built once per set, not once per update
             AddToScope: [[ActivateNode(n_u + i)] for i in range(k)],
             RemoveFromScope: [[DeactivateNode(n_u + i)] for i in range(k)]}

@@ -10,12 +10,13 @@ EngineState method called on a wrapper would skip its override and leave
 the inner engine behind.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from dynred import engines
-from dynred.engines import DirectEngine, EngineState, Mode
+from dynred.engines import KINDS, DirectEngine, EngineState, Mode
 from dynred.sat_reductions import _engine_digest
 from dynred.verify import random_engine_instance, random_valid_op
 from dynred.wrappers import WRAPPERS
@@ -81,6 +82,38 @@ def test_handle_rollback_restores_outer_and_inner_state(cls):
         assert _engine_digest(h.inner) == inner, op
         applied += 1
     assert applied
+
+
+def _outcome(engine, q):
+    """("answer", value), or ("raises", error type, message)."""
+    try:
+        return "answer", engine.query(q)
+    except Exception as e:
+        return "raises", type(e), str(e)
+
+
+@pytest.mark.parametrize("cls", WRAPPERS, ids=lambda cls: cls.name)
+def test_wrapper_keeps_the_query_contract_of_its_outer_kind(cls):
+    """Asked one query of every type the kinds answer, and an object that
+    is no query, a wrapper answers as a direct engine of its outer kind
+    does or raises its error, and counts as it does. A rejected query
+    reaches no inner engine."""
+    kind = cls.outer_kind
+    types = sorted({spec.query for spec in KINDS.values()}, key=lambda t: t.__name__)
+    queries = [t(*[1] * len(dataclasses.fields(t))) for t in types] + ["StReachable"]
+    rng = random.Random(f"query/{cls.name}")
+    for _ in range(20):
+        inst, aux = random_engine_instance(kind, rng, 7)
+        scope = aux.get("scope")
+        h = cls(kind, Mode.FULL, inst, scope=scope)
+        direct = DirectEngine(kind, Mode.FULL, inst, scope=scope)
+        for q in queries:
+            inner = h.inner.counters.as_dict()
+            got = _outcome(h, q)
+            assert got == _outcome(direct, q), q
+            if got[0] == "raises":
+                assert h.inner.counters.as_dict() == inner, q
+        assert h.counters.as_dict() == direct.counters.as_dict()
 
 
 def test_engines_has_no_functional_spelling():
